@@ -2,27 +2,25 @@
 
 Exit codes: 0 success, 1 usage/input error, 2 no converged root.
 All randomness sits behind --seed, so every command is deterministic
-given its flags.  The DEPTHWL_THREADS environment variable caps
-internal parallelism (0 = one worker per CPU); outputs never depend on
-the worker count.
+given its flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .depth import DepthMethod, empirical_depths
+from .depth import DepthMethod, empirical_depths, resolve_depth_method
 from .estimator import EstimatorConfig, find_roots
 from .gaussian import GaussianParams
 from .initializers import depth_init, subsample_inits
-from .residuals import DprConfig, WeightSpec, _OPTIMAL
+from .residuals import DprConfig, WeightSpec
 from .simulation import GridConfig, breakdown_experiment, run_grid
 
 __all__ = ["main", "entry", "load_csv_dataset", "CsvError"]
@@ -82,14 +80,6 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
-def _threads() -> int:
-    raw = os.environ.get("DEPTHWL_THREADS")
-    if raw is None:
-        return 1
-    t = int(raw)
-    return os.cpu_count() or 1 if t == 0 else max(1, t)
-
-
 def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=0.5,
                         help="residual exponent in (0, 1] (default 0.5)")
@@ -112,30 +102,26 @@ def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
 
 def _weight_spec(args) -> WeightSpec:
     """Resolve weight flags; unset parameters fall back to the
-    calibrated table for the requested alpha."""
-    key = min(_OPTIMAL, key=lambda t: abs(t - args.alpha))
-    gamma, d1, d2, xi = _OPTIMAL[key]
-    xi = xi if args.xi is None else args.xi
+    calibrated table for the requested alpha.  The smooth family takes
+    only the table's trimming margin; the piecewise shape flags do not
+    apply to it."""
+    spec = WeightSpec.optimal(args.alpha)
+    flags = {"trim_xi": args.xi}
     if args.family == "smooth":
-        return WeightSpec.smooth_exp(args.a, trim_xi=xi)
-    return WeightSpec.piecewise(
-        d1 if args.delta1 is None else args.delta1,
-        d2 if args.delta2 is None else args.delta2,
-        gamma if args.gamma is None else args.gamma,
-        trim_xi=xi,
+        spec = WeightSpec.smooth_exp(args.a, trim_xi=spec.trim_xi)
+    else:
+        flags.update(delta1=args.delta1, delta2=args.delta2, gamma=args.gamma)
+    return dataclasses.replace(
+        spec, **{k: v for k, v in flags.items() if v is not None}
     )
 
 
 def _depth_method(args, p: int) -> DepthMethod:
-    if args.depth_method == "projection":
+    if args.depth_method == "projection" or (args.depth_method == "auto" and p > 2):
         return DepthMethod.projection(args.directions, seed=args.seed)
-    if args.depth_method == "exact" or p <= 2:
-        if p == 1:
-            return DepthMethod.exact_1d()
-        if p == 2:
-            return DepthMethod.exact_2d()
+    if p > 2:
         raise ValueError("exact depth is available only for p <= 2")
-    return DepthMethod.projection(args.directions, seed=args.seed)
+    return resolve_depth_method(None, p)
 
 
 def _estimator_config(args, p: int) -> EstimatorConfig:
@@ -162,7 +148,7 @@ def cmd_fit(args) -> int:
         raw = json.loads(Path(args.init_file).read_text())
         raw = raw if isinstance(raw, list) else [raw]
         inits = [GaussianParams.from_dict(d) for d in raw]
-    roots = find_roots(data, cfg, inits, threads=_threads())
+    roots = find_roots(data, cfg, inits)
     _write_output(_json_dumps(roots.to_dict()), args.output)
     return 0 if roots.selected is not None else 2
 
@@ -186,7 +172,7 @@ def cmd_simulate(args) -> int:
     except json.JSONDecodeError as exc:
         raise ValueError(f"grid config is not valid JSON: {exc}") from None
     cfg = GridConfig.from_dict(raw)
-    report = run_grid(cfg, threads=_threads())
+    report = run_grid(cfg)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.csv").write_text(report.to_csv())

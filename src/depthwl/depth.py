@@ -4,8 +4,7 @@ Exact empirical depth in one and two dimensions, a seeded
 random-projection approximation for any dimension, and the closed-form
 population depth of a multivariate Gaussian.
 
-All functions are pure; data arrays are never modified and may be
-shared read-only across threads.
+All functions are pure; data arrays are never modified.
 """
 
 from __future__ import annotations
@@ -34,6 +33,16 @@ __all__ = [
 _DEPTH_FLOOR = float(np.finfo(np.float64).tiny)
 
 _KINDS = ("exact-1d", "exact-2d", "projection")
+
+
+def _rng(seed, *extra) -> np.random.Generator:
+    """Generator keyed by ``seed`` (an int or a sequence of ints) followed
+    by ``extra``; every key is masked to 64 bits."""
+    keys = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+    keys += extra
+    return np.random.default_rng(
+        np.random.SeedSequence([int(k) & ((1 << 64) - 1) for k in keys])
+    )
 
 
 @dataclass(frozen=True)
@@ -196,7 +205,7 @@ def _projection_depths(
     antipodal directions come for free.
     """
     n, p = data.shape
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & ((1 << 64) - 1)]))
+    rng = _rng(seed)
     best = np.full(queries.shape[0], n + 1, dtype=np.int64)
     remaining = n_directions
     while remaining > 0:

@@ -23,8 +23,6 @@ selects the root fitting the most effective mass.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,11 +192,9 @@ class RootSet:
         )
 
 
-def _resolved(cfg: EstimatorConfig, p: int) -> tuple[DepthMethod, float]:
-    method = resolve_depth_method(cfg.depth_method, p)
-    min_eff = float(p + 1 if cfg.min_effective_points is None
-                    else cfg.min_effective_points)
-    return method, min_eff
+def _min_effective_points(cfg: EstimatorConfig, p: int) -> float:
+    return float(p + 1 if cfg.min_effective_points is None
+                 else cfg.min_effective_points)
 
 
 def _residuals_weights(data, params, emp_depths, cfg):
@@ -223,7 +219,7 @@ def irwls_step(
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
-    _, min_eff = _resolved(cfg, params.p)
+    min_eff = _min_effective_points(cfg, params.p)
     tau, w = _residuals_weights(data, params, emp_depths, cfg)
     sum_w = float(w.sum())
     if sum_w < min_eff:
@@ -262,9 +258,8 @@ def fit(
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
-    n, p = data.shape
-    method, _ = _resolved(cfg, p)
     if emp_depths is None:
+        method = resolve_depth_method(cfg.depth_method, data.shape[1])
         emp_depths = empirical_depths_all(data, method)
 
     params = init
@@ -299,44 +294,16 @@ def fit(
     )
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        threads = 1
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return max(1, threads)
-
-
-def parallel_map(fn, items, threads: int | None = 1) -> list:
-    """Order-preserving map, optionally on a thread pool.
-
-    Results are collected by input position, so the output never
-    depends on scheduling.
-    """
-    items = list(items)
-    t = _thread_count(threads)
-    if t == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=t) as pool:
-        return list(pool.map(fn, items))
-
-
 def _symmetrized_kl(a: GaussianParams, b: GaussianParams) -> float:
     return kl_gaussian(a, b) + kl_gaussian(b, a)
 
 
-def find_roots(
-    data,
-    cfg: EstimatorConfig,
-    inits,
-    threads: int | None = 1,
-) -> RootSet:
+def find_roots(data, cfg: EstimatorConfig, inits) -> RootSet:
     """Run ``fit`` from every start, deduplicate and rank the roots.
 
-    Starts are processed in input order (concurrently if requested,
-    merged back by index), so the result is deterministic.  Converged
-    results closer than DEDUP_KL in symmetrized KL collapse to the
-    first representative.
+    Starts are processed in input order, so the result is
+    deterministic.  Converged results closer than DEDUP_KL in
+    symmetrized KL collapse to the first representative.
     """
     inits = list(inits)
     if not inits:
@@ -344,12 +311,9 @@ def find_roots(
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
-    method, _ = _resolved(cfg, data.shape[1])
+    method = resolve_depth_method(cfg.depth_method, data.shape[1])
     emp_depths = empirical_depths_all(data, method)
-
-    results = parallel_map(
-        lambda init: fit(data, cfg, init, emp_depths=emp_depths), inits, threads
-    )
+    results = [fit(data, cfg, init, emp_depths=emp_depths) for init in inits]
 
     roots: list[FitResult] = []
     failures: list[str] = []
@@ -365,11 +329,10 @@ def find_roots(
 
     selected = None
     if roots:
-        dets = [float(np.prod(np.diag(r.params.chol)) ** 2) for r in roots]
-        order = sorted(
-            range(len(roots)), key=lambda i: (-roots[i].sum_weights, dets[i], i)
+        selected = min(
+            range(len(roots)),
+            key=lambda i: (-roots[i].sum_weights, roots[i].params.log_det, i),
         )
-        selected = order[0]
 
     diagnostics = {
         "n_starts": len(inits),

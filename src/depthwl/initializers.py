@@ -1,9 +1,9 @@
 """Starting values for the multi-start reweighting iteration.
 
 Two data-driven strategies: maximum likelihood fits of small random
-subsamples (elemental sets, one fresh RNG stream per draw so parallel
-generation matches sequential), and a deterministic initializer built
-from the deepest observation and the covariance of the deepest half.
+subsamples (elemental sets, one RNG stream per draw), and a
+deterministic initializer built from the deepest observation and the
+covariance of the deepest half.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import DepthMethod, empirical_depths_all, resolve_depth_method
+from .depth import DepthMethod, _rng, empirical_depths_all, resolve_depth_method
 from .gaussian import GaussianParams, mle_fit
 
 __all__ = [
@@ -27,15 +27,6 @@ def elemental_subsample_size(p: int) -> int:
     """Smallest subsample giving a generically nonsingular fit:
     p location parameters + p(p+1)/2 scatter parameters + 1."""
     return p + p * (p + 1) // 2 + 1
-
-
-_SEED_MASK = (1 << 64) - 1
-
-
-def _seed_keys(seed) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed) & _SEED_MASK]
-    return [int(s) & _SEED_MASK for s in seed]
 
 
 def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
@@ -56,11 +47,10 @@ def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
     size = elemental_subsample_size(p)
     if n < size:
         raise ValueError(f"need at least {size} observations for p={p}")
-    base = _seed_keys(seed)
     budget = 100 * B
     inits: list[GaussianParams] = []
     for b in range(B):
-        rng = np.random.default_rng(np.random.SeedSequence(base + [b]))
+        rng = _rng(seed, b)
         while True:
             if budget <= 0:
                 raise ValueError(

@@ -5,7 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from depthwl import GaussianParams, kl_gaussian, mle_fit
+from depthwl import (
+    DepthMethod,
+    DprConfig,
+    EstimatorConfig,
+    GaussianParams,
+    RootSet,
+    WeightSpec,
+    kl_gaussian,
+    mle_fit,
+)
+from depthwl import cli
 from depthwl.cli import CsvError, load_csv_dataset, main
 
 
@@ -132,6 +142,50 @@ class TestFitCommand:
         text = out.read_text()
         parsed = json.loads(text)
         assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == text
+
+
+def fit_config(monkeypatch, csv_path, *flags) -> EstimatorConfig:
+    """The EstimatorConfig that ``depthwl fit`` builds from ``flags``."""
+    seen = []
+
+    def fake_find_roots(data, cfg, inits):
+        seen.append(cfg)
+        return RootSet(roots=(), selected=None, diagnostics={})
+
+    monkeypatch.setattr(cli, "find_roots", fake_find_roots)
+    code = main(["fit", "--input", csv_path, "--init", "depth", *flags])
+    assert code == 2
+    (cfg,) = seen
+    return cfg
+
+
+class TestFitWeightFlags:
+    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5, 0.75, 1.0])
+    def test_alpha_selects_calibrated_table(self, monkeypatch, clean_csv, alpha):
+        cfg = fit_config(monkeypatch, clean_csv, "--alpha", str(alpha))
+        assert cfg == EstimatorConfig(
+            dpr=DprConfig(alpha),
+            weights=WeightSpec.optimal(alpha),
+            depth_method=DepthMethod.exact_2d(),
+        )
+
+    def test_smooth_family_takes_table_xi(self, monkeypatch, clean_csv):
+        cfg = fit_config(
+            monkeypatch, clean_csv, "--family", "smooth", "--alpha", "0.75"
+        )
+        assert cfg.weights == WeightSpec.smooth_exp(0.05, trim_xi=5.0)
+        assert cfg.dpr == DprConfig(0.75)
+
+    def test_overrides_applied(self, monkeypatch, clean_csv):
+        cfg = fit_config(
+            monkeypatch, clean_csv, "--delta1", "1.5", "--xi", "inf"
+        )
+        assert cfg.weights == WeightSpec.piecewise(
+            1.5, 9.0, 0.3, trim_xi=float("inf")
+        )
+
+    def test_invalid_override_rejected(self, clean_csv):
+        assert main(["fit", "--input", clean_csv, "--delta1", "10"]) == 1
 
 
 class TestDepthCommand:

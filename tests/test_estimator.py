@@ -1,5 +1,7 @@
 """Reweighting iteration: fixed points, trimming, roots, equivariance."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,18 +191,24 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(np.zeros((5, 2)), EstimatorConfig(), [])
 
-    def test_thread_determinism(self):
-        rng = np.random.default_rng(14)
-        data = contaminated_sample(rng)
-        inits = subsample_inits(data, 12, seed=4)
-        cfg = EstimatorConfig()
-        serial = find_roots(data, cfg, inits, threads=1)
-        threaded = find_roots(data, cfg, inits, threads=4)
-        assert len(serial.roots) == len(threaded.roots)
-        assert serial.selected == threaded.selected
-        for r1, r2 in zip(serial.roots, threaded.roots):
-            assert np.array_equal(r1.params.mu, r2.params.mu)
-            assert np.array_equal(r1.params.sigma, r2.params.sigma)
+    def test_extreme_scale_selection(self):
+        rng = np.random.default_rng(6)
+        shift = 6.0 / np.sqrt(2.0)
+        data = np.vstack([
+            rng.standard_normal((40, 2)),
+            shift + rng.standard_normal((40, 2)),
+        ])
+        inits = subsample_inits(data, 30, seed=6)
+        selected = []
+        for scale in (1.0, 1e150):
+            scaled = [GaussianParams(scale * g.mu, scale**2 * g.sigma)
+                      for g in inits]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                roots = find_roots(scale * data, EstimatorConfig(), scaled)
+            selected.append(roots.selected)
+        assert selected[0] is not None
+        assert selected[1] == selected[0]
 
 
 class TestAffineEquivariance:
