@@ -80,6 +80,17 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
+_SMOOTH_A = 0.05  # decay rate of the smooth family when --a is not given
+
+
+def _add_depth_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--depth-method", choices=["auto", "exact", "projection"],
+                        default="auto")
+    parser.add_argument("--directions", type=int, default=None,
+                        help="projection directions (default max(1000, 100p))")
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=0.5,
                         help="residual exponent in (0, 1] (default 0.5)")
@@ -88,29 +99,24 @@ def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta1", type=float, default=None)
     parser.add_argument("--delta2", type=float, default=None)
     parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--a", type=float, default=0.05,
-                        help="smooth family decay rate (default 0.05)")
+    parser.add_argument("--a", type=float, default=None,
+                        help=f"smooth family decay rate (default {_SMOOTH_A})")
     parser.add_argument("--xi", type=float, default=None,
                         help="trimming margin above the residual median")
     parser.add_argument("--scatter-norm", choices=["sumw", "n"], default="n")
-    parser.add_argument("--depth-method", choices=["auto", "exact", "projection"],
-                        default="auto")
-    parser.add_argument("--directions", type=int, default=None,
-                        help="projection directions (default max(1000, 100p))")
-    parser.add_argument("--seed", type=int, default=0)
+    _add_depth_flags(parser)
 
 
 def _weight_spec(args) -> WeightSpec:
-    """Resolve weight flags; unset parameters fall back to the
-    calibrated table for the requested alpha.  The smooth family takes
-    only the table's trimming margin; the piecewise shape flags do not
-    apply to it."""
+    """Resolve weight flags; unset parameters fall back to the calibrated
+    table for the requested alpha (smooth family: its xi, a = _SMOOTH_A).
+    Every flag set is passed on, so ``WeightSpec`` rejects one that does
+    not apply to the family."""
     spec = WeightSpec.optimal(args.alpha)
-    flags = {"trim_xi": args.xi}
     if args.family == "smooth":
-        spec = WeightSpec.smooth_exp(args.a, trim_xi=spec.trim_xi)
-    else:
-        flags.update(delta1=args.delta1, delta2=args.delta2, gamma=args.gamma)
+        spec = WeightSpec.smooth_exp(_SMOOTH_A, trim_xi=spec.trim_xi)
+    flags = {"delta1": args.delta1, "delta2": args.delta2,
+             "gamma": args.gamma, "a": args.a, "trim_xi": args.xi}
     return dataclasses.replace(
         spec, **{k: v for k, v in flags.items() if v is not None}
     )
@@ -182,12 +188,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    if args.n <= 2 * args.p:
-        raise ValueError(
-            f"breakdown experiment requires n > 2*p "
-            f"(got n={args.n}, p={args.p}); the clean sample must exceed "
-            f"twice the dimension"
-        )
     cfg = _estimator_config(args, args.p)
     report = breakdown_experiment(
         args.n, args.p, args.m, args.distance, cfg, args.seed
@@ -220,10 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_depth.add_argument("--input", required=True, help="CSV of observations")
     p_depth.add_argument("--query", default=None,
                          help="CSV of query points (default: the input rows)")
-    p_depth.add_argument("--depth-method",
-                         choices=["auto", "exact", "projection"], default="auto")
-    p_depth.add_argument("--directions", type=int, default=None)
-    p_depth.add_argument("--seed", type=int, default=0)
+    _add_depth_flags(p_depth)
     p_depth.add_argument("--output", default=None)
     p_depth.set_defaults(func=cmd_depth)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gaussian import GaussianParams, mahalanobis_sq
+from .gaussian import GaussianParams, _as_matrix, mahalanobis_sq
 
 __all__ = [
     "DepthMethod",
@@ -33,6 +33,9 @@ __all__ = [
 _DEPTH_FLOOR = float(np.finfo(np.float64).tiny)
 
 _KINDS = ("exact-1d", "exact-2d", "projection")
+
+# Angle (rad) before an arc's end where the 2-D sweep checks for exact ties.
+_TIE_RAD = 1e-9
 
 
 def _rng(seed, *extra) -> np.random.Generator:
@@ -103,7 +106,7 @@ class DepthMethod:
         )
 
 
-def resolve_depth_method(method: DepthMethod | None, p: int, seed: int = 0) -> DepthMethod:
+def resolve_depth_method(method: DepthMethod | None, p: int) -> DepthMethod:
     """Fill in the default method for dimension ``p``.
 
     ``None`` picks the exact algorithm for p <= 2 and the projection
@@ -115,7 +118,7 @@ def resolve_depth_method(method: DepthMethod | None, p: int, seed: int = 0) -> D
             return DepthMethod.exact_1d()
         if p == 2:
             return DepthMethod.exact_2d()
-        return DepthMethod.projection(seed=seed)
+        return DepthMethod.projection()
     _check_compatible(method, p)
     return method
 
@@ -180,6 +183,12 @@ def _exact_count_2d(data: np.ndarray, query: np.ndarray) -> int:
     m minus the largest number of offsets inside an open half-circle of
     directions; the half-open arcs [theta_i, theta_i + pi) enumerate all
     maximal open half-circles.
+
+    Tie rule: an offset exactly opposite the arc start lies on the
+    boundary, outside the arc, but rounded angles can count it.  Rounding
+    only inflates counts, so while the maximal arc's last counted offset
+    is within _TIE_RAD of the end and exactly opposite the start (cross
+    product 0, dot product < 0), it is dropped and the maximum retaken.
     """
     offsets = data - query
     nonzero = (offsets[:, 0] != 0.0) | (offsets[:, 1] != 0.0)
@@ -187,12 +196,23 @@ def _exact_count_2d(data: np.ndarray, query: np.ndarray) -> int:
     n_coincident = data.shape[0] - m
     if m == 0:
         return data.shape[0]
-    ang = np.arctan2(offsets[nonzero, 1], offsets[nonzero, 0])
-    ang.sort(kind="stable")
+    offsets = offsets[nonzero]
+    ang = np.arctan2(offsets[:, 1], offsets[:, 0])
+    order = ang.argsort(kind="stable")
+    ang = ang[order]
     doubled = np.concatenate([ang, ang + 2.0 * np.pi])
-    upper = np.searchsorted(doubled, ang + np.pi, side="left")
-    max_open = int((upper - np.arange(m)).max())
-    return n_coincident + m - max_open
+    end = ang + np.pi
+    counts = np.searchsorted(doubled, end, side="left") - np.arange(m)
+    i = counts.argmax()
+    last = i + counts[i] - 1  # index into ``doubled`` of the last counted offset
+    while end[i] - doubled[last] <= _TIE_RAD:
+        a, b = offsets[order[i]], offsets[order[last % m]]
+        if a[0] * b[1] != a[1] * b[0] or a @ b >= 0.0:
+            break
+        counts[i] -= 1
+        i = counts.argmax()
+        last = i + counts[i] - 1
+    return n_coincident + m - int(counts[i])
 
 
 def _projection_depths(
@@ -224,15 +244,6 @@ def _projection_depths(
     return best / n
 
 
-def _as_matrix(data) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, None]
-    if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] == 0:
-        raise ValueError("data must be a nonempty n x p matrix")
-    return data
-
-
 def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
     """Empirical half-space depth of each query row w.r.t. ``data``.
 
@@ -240,16 +251,14 @@ def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
     sample points in the closed half-space {z : u.z >= u.q}; exact
     methods minimize over all directions, projection over the seeded
     sample of directions (hence an upper bound on the exact value).
+    Empty or non-finite data or query points raise ValueError.
     """
     data = _as_matrix(data)
-    queries = np.asarray(queries, dtype=np.float64)
-    if data.shape[1] == 1:
-        queries = queries.reshape(-1, 1)
-    elif queries.ndim == 1:
-        queries = queries[None, :]
-    if queries.shape[1] != data.shape[1]:
-        raise ValueError("query dimension does not match data dimension")
     n, p = data.shape
+    queries = _as_matrix(np.reshape(queries, (-1, 1)) if p == 1
+                         else np.atleast_2d(queries))
+    if queries.shape[1] != p:
+        raise ValueError("query dimension does not match data dimension")
     _check_compatible(method, p)
 
     if method.kind == "exact-1d":
@@ -268,11 +277,10 @@ def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
 
 def empirical_depth(query, data, method: DepthMethod) -> float:
     """Empirical half-space depth of a single query point."""
-    data = _as_matrix(data)
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    if query.shape[0] != data.shape[1]:
+    depths = empirical_depths(np.reshape(query, (1, -1)), data, method)
+    if depths.size != 1:
         raise ValueError("query dimension does not match data dimension")
-    return float(empirical_depths(query[None, :], data, method)[0])
+    return float(depths[0])
 
 
 def empirical_depths_all(data, method: DepthMethod) -> np.ndarray:
@@ -282,5 +290,4 @@ def empirical_depths_all(data, method: DepthMethod) -> np.ndarray:
     parameters.  Every entry lies in [1/n, 1] because each point
     belongs to all closed half-spaces through itself.
     """
-    data = _as_matrix(data)
     return empirical_depths(data, data, method)

@@ -33,8 +33,9 @@ from .depth import (
     population_depth_gaussian,
     resolve_depth_method,
 )
-from .gaussian import GaussianParams, kl_gaussian, weighted_location_scatter
+from .gaussian import GaussianParams, _as_matrix, kl_gaussian, weighted_location_scatter
 from .residuals import DprConfig, WeightSpec, apply_trim, dpr, weight
+from .residuals import weight_config_from_dict, weight_config_to_dict
 
 __all__ = [
     "EstimatorConfig",
@@ -85,8 +86,6 @@ class EstimatorConfig:
             raise ValueError("min_effective_points must be >= 1")
 
     def to_dict(self) -> dict:
-        from .residuals import weight_config_to_dict
-
         return {
             "weights": weight_config_to_dict(self.weights, self.dpr),
             "depth_method": None if self.depth_method is None
@@ -99,8 +98,6 @@ class EstimatorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorConfig":
-        from .residuals import weight_config_from_dict
-
         spec, dcfg = weight_config_from_dict(d["weights"])
         dm = d.get("depth_method")
         if dm is not None and dm.get("kind") == "auto":
@@ -255,9 +252,7 @@ def fit(
     computation across several starts.  A failed step aborts this
     start only, yielding a non-converged result with the reason.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = _as_matrix(data)
     if emp_depths is None:
         method = resolve_depth_method(cfg.depth_method, data.shape[1])
         emp_depths = empirical_depths_all(data, method)
@@ -308,9 +303,7 @@ def find_roots(data, cfg: EstimatorConfig, inits) -> RootSet:
     inits = list(inits)
     if not inits:
         raise ValueError("at least one starting value is required")
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = _as_matrix(data)
     method = resolve_depth_method(cfg.depth_method, data.shape[1])
     emp_depths = empirical_depths_all(data, method)
     results = [fit(data, cfg, init, emp_depths=emp_depths) for init in inits]

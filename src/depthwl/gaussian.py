@@ -8,6 +8,7 @@ definite and raises ValueError rather than being silently regularized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +38,10 @@ class GaussianParams:
         sigma = np.asarray(self.sigma, dtype=np.float64)
         if sigma.shape != (mu.size, mu.size):
             raise ValueError("sigma must be a p x p matrix matching mu")
-        scale = max(1.0, float(np.abs(sigma).max()))
-        if float(np.abs(sigma - sigma.T).max()) > _SYM_TOL * scale:
+        scale = float(np.abs(sigma).max())
+        if not (math.isfinite(scale) and np.isfinite(mu).all()):
+            raise ValueError("mu and sigma must be finite")
+        if float(np.abs(sigma - sigma.T).max()) > _SYM_TOL * max(1.0, scale):
             raise ValueError("sigma is not symmetric")
         try:
             chol = np.linalg.cholesky(sigma)
@@ -66,12 +69,25 @@ class GaussianParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianParams":
-        return cls(np.asarray(d["mu"], dtype=np.float64),
-                   np.asarray(d["sigma"], dtype=np.float64))
+        return cls(d["mu"], d["sigma"])
 
     @classmethod
     def standard(cls, p: int) -> "GaussianParams":
         return cls(np.zeros(p), np.eye(p))
+
+
+def _as_matrix(data) -> np.ndarray:
+    """``data`` as a float64 n x p matrix, a 1-D array as one column.
+
+    The one check of a sample and of depth query points: raises
+    ValueError unless the matrix is nonempty and free of NaN and inf."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim not in (1, 2) or data.size == 0:
+        raise ValueError("data must be a nonempty n x p matrix")
+    data = data.reshape(data.shape[0], -1)
+    if not np.isfinite(data).all():
+        raise ValueError("data must be finite (no NaN or inf)")
+    return data
 
 
 def mahalanobis_sq(x, params: GaussianParams):
@@ -82,7 +98,7 @@ def mahalanobis_sq(x, params: GaussianParams):
     scalar or a length-n vector accordingly.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
+    single = x.ndim < 2
     diff = (np.atleast_2d(x) - params.mu).T
     y = solve_triangular(params.chol, diff, lower=True, check_finite=False)
     d2 = np.einsum("ij,ij->j", y, y)
@@ -108,15 +124,11 @@ def mle_fit(data) -> GaussianParams:
     """Maximum likelihood estimate: sample mean and 1/n covariance.
 
     The 1/n normalization is the fixed point of the unweighted score
-    equations.  Raises ValueError when the sample covariance is
-    singular (e.g. identical rows or n <= p).
+    equations.  Raises ValueError on data ``_as_matrix`` rejects or a
+    singular sample covariance (e.g. identical rows or n <= p).
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = _as_matrix(data)
     n = data.shape[0]
-    if n < 1:
-        raise ValueError("empty data")
     mu, sigma = weighted_location_scatter(data, np.ones(n), float(n))
     try:
         return GaussianParams(mu, sigma)

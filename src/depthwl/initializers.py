@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth import DepthMethod, _rng, empirical_depths_all, resolve_depth_method
-from .gaussian import GaussianParams, mle_fit
+from .gaussian import GaussianParams, _as_matrix, mle_fit
 
 __all__ = [
     "InitSpec",
@@ -38,9 +38,7 @@ def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
     sequence of ints (callers embedding this in larger experiments pass
     composite keys).
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = _as_matrix(data)
     n, p = data.shape
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -80,9 +78,7 @@ def depth_init(
     the deep-half mean instead.  Ties at the cutoff depth are resolved
     by row index.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = _as_matrix(data)
     n, p = data.shape
     if center not in ("deepest", "half-mean"):
         raise ValueError("center must be 'deepest' or 'half-mean'")

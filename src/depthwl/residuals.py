@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "DprConfig",
     "WeightSpec",
-    "ResidualVector",
     "dpr",
     "weight",
     "apply_trim",
@@ -40,7 +39,7 @@ _OPTIMAL = {
     1.0: (0.3, 2.0, 9.0, 5.0),
 }
 
-ResidualVector = np.ndarray
+_SHAPE_FIELDS = ("delta1", "delta2", "gamma", "a")
 
 
 @dataclass(frozen=True)
@@ -243,23 +242,17 @@ def check_weight_class(spec: WeightSpec, grid) -> WeightClassReport:
 def weight_config_to_dict(spec: WeightSpec, cfg: DprConfig) -> dict:
     """Wire format: weight family, trimming constant and exponent."""
     d = {"family": spec.family, "xi": spec.trim_xi, "alpha": cfg.alpha}
-    if spec.family == "piecewise":
-        d.update(delta1=spec.delta1, delta2=spec.delta2, gamma=spec.gamma)
-    else:
-        d.update(a=spec.a)
+    d.update((k, getattr(spec, k)) for k in _SHAPE_FIELDS if getattr(spec, k) is not None)
     return d
 
 
 def weight_config_from_dict(d: dict) -> tuple[WeightSpec, DprConfig]:
+    """Inverse of ``weight_config_to_dict``.  The shape fields present
+    (null counts as absent) go to ``WeightSpec``, which rejects an
+    unknown family and a missing or inapplicable field.  ``xi`` null or
+    ``"inf"`` disables trimming."""
     cfg = DprConfig(float(d["alpha"]))
     xi = d.get("xi", 1.0)
     xi = float("inf") if xi in ("inf", None) else float(xi)
-    family = d["family"]
-    if family == "piecewise":
-        spec = WeightSpec.piecewise(float(d["delta1"]), float(d["delta2"]),
-                                    float(d["gamma"]), trim_xi=xi)
-    elif family == "smooth_exp":
-        spec = WeightSpec.smooth_exp(float(d["a"]), trim_xi=xi)
-    else:
-        raise ValueError(f"unknown weight family: {family!r}")
-    return spec, cfg
+    fields = {k: float(d[k]) for k in _SHAPE_FIELDS if d.get(k) is not None}
+    return WeightSpec(d["family"], trim_xi=xi, **fields), cfg

@@ -381,7 +381,8 @@ def breakdown_experiment(
     position.  Requires n > 2p so the clean fit is well posed.
     """
     if n <= 2 * p:
-        raise ValueError("breakdown experiment requires n > 2 * p")
+        raise ValueError(f"breakdown experiment requires n > 2*p (got n={n}, p={p}); "
+                         f"the clean sample must exceed twice the dimension")
     rng = _rng(seed)
     data = rng.standard_normal((n, p))
     clean = fit(data, cfg, mle_fit(data))

@@ -124,6 +124,16 @@ class TestFitCommand:
         ])
         assert code == 2
 
+    def test_non_finite_init_file_exit_1(self, clean_csv, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text('{"mu": [NaN, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}')
+        code = main([
+            "fit", "--input", clean_csv, "--init", "file",
+            "--init-file", str(init),
+        ])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_init_depth(self, clean_csv, tmp_path):
         out = tmp_path / "d.json"
         code = main([
@@ -186,6 +196,20 @@ class TestFitWeightFlags:
 
     def test_invalid_override_rejected(self, clean_csv):
         assert main(["fit", "--input", clean_csv, "--delta1", "10"]) == 1
+
+    def test_smooth_decay_flag_applied(self, monkeypatch, clean_csv):
+        cfg = fit_config(
+            monkeypatch, clean_csv, "--family", "smooth", "--a", "0.2", "--xi", "3"
+        )
+        assert cfg.weights == WeightSpec.smooth_exp(0.2, trim_xi=3.0)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--family", "smooth", "--delta1", "3"], "do not apply to smooth_exp"),
+        (["--a", "7"], "'a' does not apply to the piecewise family"),
+    ])
+    def test_inapplicable_flag_rejected(self, clean_csv, capsys, flags, message):
+        assert main(["fit", "--input", clean_csv, *flags]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestDepthCommand:
@@ -260,6 +284,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--grid", str(grid),
                      "--output-dir", str(tmp_path / "x")]) == 1
         assert "reps" in capsys.readouterr().err
+
+    def test_inapplicable_weight_field_rejected(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        weights = {"family": "smooth_exp", "a": 0.1, "delta1": 2.0, "alpha": 0.5}
+        grid.write_text(json.dumps(self.grid_blob(estimator={"weights": weights})))
+        assert main(["simulate", "--grid", str(grid),
+                     "--output-dir", str(tmp_path / "x")]) == 1
+        assert "invalid field: estimator" in capsys.readouterr().err
 
 
 class TestBreakdownCommand:

@@ -196,6 +196,15 @@ class TestExact2d:
             want = brute_force_depth_2d(q, data)
             assert round(got * 4) == round(want * 4)
 
+    def test_opposite_offset_on_boundary(self):
+        # (1, 2) is the midpoint of the other two points: the closed
+        # half-plane through it always holds one of them as well, so its
+        # depth is 2/3.  Rounded angles put the offset exactly opposite
+        # the arc start inside the open half-circle and gave 1/3.
+        data = [[1.0, 2.0], [3.0, 3.0], [-1.0, 1.0]]
+        got = empirical_depths_all(data, DepthMethod.exact_2d())
+        assert np.array_equal(got * 3, [2.0, 1.0, 1.0])
+
     def test_affine_invariance_exact(self):
         rng = np.random.default_rng(3)
         method = DepthMethod.exact_2d()
@@ -280,6 +289,11 @@ class TestValidation:
     def test_empty_data(self):
         with pytest.raises(ValueError):
             empirical_depth([0.0], np.zeros((0, 1)), DepthMethod.exact_1d())
+
+    def test_non_finite_query_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                empirical_depth([bad, 0.0], np.zeros((3, 2)), DepthMethod.exact_2d())
 
     def test_resolve_auto(self):
         assert resolve_depth_method(None, 1).kind == "exact-1d"

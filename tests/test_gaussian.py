@@ -33,6 +33,15 @@ class TestParams:
         with pytest.raises(ValueError):
             GaussianParams([0.0, 0.0], np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianParams([bad, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            GaussianParams([0.0, 0.0], [[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            GaussianParams([0.0, 0.0], [[bad, 0.0], [0.0, 1.0]])
+
     def test_json_round_trip(self):
         gp = GaussianParams([1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]])
         blob = json.dumps(gp.to_dict(), sort_keys=True)

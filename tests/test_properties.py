@@ -1,0 +1,155 @@
+"""Property-based invariants: exact 2-D depth against an integer brute
+force, projection against exact depth, the residual lower bound,
+trimming, and the rejection of non-finite samples at every entry point
+that takes one."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from depthwl import (
+    DepthMethod,
+    DprConfig,
+    EstimatorConfig,
+    GaussianParams,
+    apply_trim,
+    depth_init,
+    dpr,
+    empirical_depth,
+    empirical_depths,
+    empirical_depths_all,
+    find_roots,
+    fit,
+    mle_fit,
+    resolve_depth_method,
+    subsample_inits,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+
+# Small integer points: many exact ties, coincident and collinear points.
+INT_POINTS = hnp.arrays(
+    np.int64,
+    st.tuples(st.integers(1, 12), st.just(2)),
+    elements=st.integers(-3, 3),
+)
+
+
+# Every integer point of the square the data are drawn from.
+GRID_QUERIES = np.stack(
+    np.meshgrid(np.arange(-3, 4), np.arange(-3, 4)), axis=-1
+).reshape(-1, 2)
+
+
+def brute_force_counts_2d(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Depth counts by exact integer arithmetic over all integer
+    directions with components in [-12, 12].
+
+    Offsets have components in [-6, 6], so every direction where a
+    half-plane count changes is perpendicular to such an offset, and
+    the sum of two neighbouring ones (components <= 12) lies strictly
+    between them: the set meets every open sector and every boundary
+    direction, hence attains the minimum closed half-plane count.
+    """
+    grid = np.arange(-12, 13)
+    dirs = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    dirs = dirs[(dirs != 0).any(axis=1)]
+    offsets = points[None, :, :] - queries[:, None, :]
+    return ((offsets @ dirs.T) >= 0).sum(axis=1).min(axis=1)
+
+
+@PROPERTY
+@given(INT_POINTS)
+def test_exact_2d_matches_integer_brute_force(points):
+    got = empirical_depths(GRID_QUERIES, points, DepthMethod.exact_2d())
+    want = brute_force_counts_2d(GRID_QUERIES, points) / len(points)
+    assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(1, 15),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_projection_never_below_exact(p, n, seed, integer):
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-3, 4, (n, p)) if integer else rng.standard_normal((n, p))
+    data = data.astype(np.float64)
+    exact = DepthMethod.exact_1d() if p == 1 else DepthMethod.exact_2d()
+    approx = empirical_depths_all(data, DepthMethod.projection(64, seed=seed))
+    assert np.all(approx >= empirical_depths_all(data, exact))
+
+
+@PROPERTY
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(np.finfo(np.float64).tiny, 0.5),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_residual_at_least_minus_one(d_emp, d_model, alpha):
+    assert dpr(d_emp, d_model, DprConfig(alpha)) >= -1.0
+
+
+@PROPERTY
+@given(
+    hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1.0, 1e12)),
+    st.floats(0.0, np.inf, exclude_min=True),
+)
+def test_trimming_keeps_at_least_half(tau, xi):
+    kept = apply_trim(tau, np.ones_like(tau), xi)
+    assert 2 * np.count_nonzero(kept) >= tau.size
+
+
+def _fit(data):
+    return fit(data, EstimatorConfig(), GaussianParams.standard(data.shape[1]))
+
+
+def _find_roots(data):
+    inits = [GaussianParams.standard(data.shape[1])]
+    return find_roots(data, EstimatorConfig(), inits)
+
+
+def _depths_all(data):
+    return empirical_depths_all(data, resolve_depth_method(None, data.shape[1]))
+
+
+def _depth(data):
+    return empirical_depth(np.zeros(data.shape[1]), data, DepthMethod.projection(8))
+
+
+def _depths_of_queries(data):
+    finite = np.ones((3, data.shape[1]))
+    return empirical_depths(data, finite, DepthMethod.projection(8))
+
+
+ENTRY_POINTS = {
+    "fit": _fit,
+    "find_roots": _find_roots,
+    "mle_fit": mle_fit,
+    "subsample_inits": lambda data: subsample_inits(data, 2, 0),
+    "depth_init": depth_init,
+    "empirical_depths_all": _depths_all,
+    "empirical_depth": _depth,
+    "empirical_depths queries": _depths_of_queries,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@settings(PROPERTY, max_examples=25)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(12, 20), st.integers(1, 3)),
+        elements=st.floats(-1e3, 1e3),
+    ),
+    st.data(),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_non_finite_row_rejected(entry, data, draw, bad):
+    data[draw.draw(st.integers(0, data.shape[0] - 1))] = bad
+    with pytest.raises(ValueError, match="finite"):
+        entry(data)

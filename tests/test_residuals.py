@@ -13,6 +13,7 @@ from depthwl import (
     dpr,
     weight,
 )
+from depthwl.residuals import weight_config_from_dict, weight_config_to_dict
 
 SPECS = [
     WeightSpec.piecewise(2.0, 9.0, 0.3),
@@ -124,6 +125,28 @@ class TestWeight:
         assert (w.delta1, w.delta2, w.gamma, w.trim_xi) == (2.0, 3.0, 0.1, 1.0)
         w = WeightSpec.optimal(1.0)
         assert (w.delta1, w.delta2, w.gamma, w.trim_xi) == (2.0, 9.0, 0.3, 5.0)
+
+
+class TestWeightConfigDict:
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_round_trip(self, spec):
+        cfg = DprConfig(0.75)
+        assert weight_config_from_dict(weight_config_to_dict(spec, cfg)) == (spec, cfg)
+
+    def test_inapplicable_field_rejected(self):
+        smooth = {"family": "smooth_exp", "a": 0.1, "alpha": 0.5}
+        with pytest.raises(ValueError, match="do not apply"):
+            weight_config_from_dict({**smooth, "delta1": 2.0})
+        piecewise = weight_config_to_dict(WeightSpec.optimal(0.5), DprConfig())
+        with pytest.raises(ValueError, match="does not apply"):
+            weight_config_from_dict({**piecewise, "a": 0.1})
+
+    def test_missing_field_and_unknown_family(self):
+        with pytest.raises(ValueError, match="requires"):
+            weight_config_from_dict({"family": "piecewise", "delta1": 2.0,
+                                     "delta2": 9.0, "alpha": 0.5})
+        with pytest.raises(ValueError, match="unknown weight family"):
+            weight_config_from_dict({"family": "tukey", "alpha": 0.5})
 
 
 class TestTrim:
