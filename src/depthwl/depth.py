@@ -37,6 +37,10 @@ _KINDS = ("exact-1d", "exact-2d", "projection")
 # Angle (rad) before an arc's end where the 2-D sweep checks for exact ties.
 _TIE_RAD = 1e-9
 
+# Directions ranked at once, and query-to-point offsets swept at once.
+_BLOCK = 32
+_BATCH = 1 << 16
+
 
 def _rng(seed, *extra) -> np.random.Generator:
     """Generator keyed by ``seed`` (an int or a sequence of ints) followed
@@ -53,9 +57,10 @@ class DepthMethod:
     """How to evaluate empirical half-space depth.
 
     ``exact-1d`` and ``exact-2d`` are exact counting algorithms valid
-    only for p=1 and p=2 respectively.  ``projection`` lower-bounds the
-    half-space minimum over a seeded sample of directions and is valid
-    for any p >= 1; its result is an upper bound on the exact depth.
+    only for p=1 and p=2 respectively.  ``projection`` is valid for any
+    p >= 1: it minimizes the half-space count over a seeded sample of
+    directions instead of all of them, so it gives an upper bound on the
+    exact depth.
     """
 
     kind: str
@@ -167,13 +172,6 @@ def population_depth_gaussian(x, params: GaussianParams):
     return float(depth) if depth.ndim == 0 else depth
 
 
-def _min_tail_counts(sorted_vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """min(#{v <= q}, #{v >= q}) for each query, closed on both sides."""
-    le = np.searchsorted(sorted_vals, queries, side="right")
-    ge = sorted_vals.size - np.searchsorted(sorted_vals, queries, side="left")
-    return np.minimum(le, ge)
-
-
 def _exact_count_2d(data: np.ndarray, query: np.ndarray) -> int:
     """Number of points in the least-populated closed half-plane through
     ``query``, via an angular sweep over the offsets data - query.
@@ -215,6 +213,57 @@ def _exact_count_2d(data: np.ndarray, query: np.ndarray) -> int:
     return n_coincident + m - int(counts[i])
 
 
+def _exact_counts_2d(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``_exact_count_2d`` of every query, swept _BATCH offsets at a time.
+    Coincident offsets get angle +inf and sort last.  A stable argsort of
+    [ends, doubled angles] per row counts the angles below each arc end,
+    ends first as with ``side="left"``; rows whose maximal arc ends within
+    _TIE_RAD of its last counted offset are recounted with the tie rule."""
+    n = data.shape[0]
+    idx = np.arange(n)
+    counts = np.empty(queries.shape[0], dtype=np.int64)
+    step = max(1, _BATCH // n)
+    for s in range(0, queries.shape[0], step):
+        qs = queries[s:s + step]
+        rows = np.arange(qs.shape[0])
+        offsets = data - qs[:, None, :]
+        coincident = (offsets[..., 0] == 0.0) & (offsets[..., 1] == 0.0)
+        ang = np.where(coincident, np.inf, np.arctan2(offsets[..., 1], offsets[..., 0]))
+        ang.sort(axis=1)
+        m = n - np.count_nonzero(coincident, axis=1)
+        merged = np.concatenate([ang + np.pi, ang, ang + 2.0 * np.pi], axis=1)
+        ends = np.nonzero(merged.argsort(axis=1, kind="stable") < n)[1]
+        inside = ends.reshape(-1, n) - 2 * idx  # offsets in [ang_i, end_i)
+        inside[idx >= m[:, None]] = 0  # arcs starting at coincident points
+        i = inside.argmax(axis=1)
+        top = inside[rows, i]
+        last = i + top - 1  # the last counted offset, in the doubled angles
+        last += (n - m) * (last >= m)  # ... and in merged[:, n:]
+        gap = merged[rows, i] - np.where(m > 0, merged[rows, n + last], -np.inf)
+        counts[s:s + step] = n - top
+        for r in np.flatnonzero(gap <= _TIE_RAD):
+            counts[s + r] = _exact_count_2d(data, qs[r])
+    return counts
+
+
+def _closed_tail_counts(proj: np.ndarray, n: int) -> np.ndarray:
+    """min(#{d <= v}, #{d >= v}) over the first ``n`` entries d of each
+    row of ``proj``, for every entry v of the row.  One argsort per row;
+    the data counted up to each sorted position are carried to both ends
+    of its tie group by maximum/minimum accumulation."""
+    order = proj.argsort(axis=1)
+    srt = np.take_along_axis(proj, order, axis=1)
+    upto = np.cumsum(order < n, axis=1) if proj.shape[1] > n else np.arange(1, n + 1)
+    tied = srt[:, 1:] == srt[:, :-1]
+    below = np.zeros(proj.shape, dtype=np.int64)
+    np.maximum.accumulate(np.where(tied, 0, upto[..., :-1]), axis=1, out=below[:, 1:])
+    through = np.full(proj.shape, n, dtype=np.int64)
+    np.minimum.accumulate(np.where(tied, n, upto[..., :-1])[:, ::-1], axis=1,
+                          out=through[:, -2::-1])
+    np.put_along_axis(below, order, np.minimum(through, n - below), axis=1)
+    return below
+
+
 def _projection_depths(
     data: np.ndarray, queries: np.ndarray, n_directions: int, seed: int
 ) -> np.ndarray:
@@ -222,9 +271,13 @@ def _projection_depths(
 
     Each direction contributes the one-dimensional depth of the
     projected query among the projected data (both closed tails), so
-    antipodal directions come for free.
+    antipodal directions come for free.  Chunks of 512 directions are
+    ranked _BLOCK at a time, queries other than the data merged into the
+    data's rows; a block's rank arrays take about half the memory of
+    the chunk's n x 512 projections.
     """
     n, p = data.shape
+    same = np.array_equal(queries, data)
     rng = _rng(seed)
     best = np.full(queries.shape[0], n + 1, dtype=np.int64)
     remaining = n_directions
@@ -234,12 +287,11 @@ def _projection_depths(
         norms = np.linalg.norm(u, axis=1)
         ok = norms > 0
         u = u[ok] / norms[ok, None]
-        proj_data = data @ u.T
-        proj_query = queries @ u.T
-        for j in range(u.shape[0]):
-            col = np.sort(proj_data[:, j])
-            counts = _min_tail_counts(col, proj_query[:, j])
-            np.minimum(best, counts, out=best)
+        proj = [data @ u.T] if same else [data @ u.T, queries @ u.T]
+        for j in range(0, u.shape[0], _BLOCK):
+            rows = np.concatenate([x[:, j:j + _BLOCK].T for x in proj], axis=1)
+            counts = _closed_tail_counts(rows, n)[:, -queries.shape[0]:]
+            np.minimum(best, counts.min(axis=0), out=best)
         remaining -= chunk
     return best / n
 
@@ -262,12 +314,9 @@ def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
     _check_compatible(method, p)
 
     if method.kind == "exact-1d":
-        col = np.sort(data[:, 0])
-        depths = _min_tail_counts(col, queries[:, 0]) / n
+        depths = _closed_tail_counts(np.concatenate([data, queries]).T, n)[0, n:] / n
     elif method.kind == "exact-2d":
-        depths = np.array(
-            [_exact_count_2d(data, q) for q in queries], dtype=np.float64
-        ) / n
+        depths = _exact_counts_2d(data, queries) / n
     else:
         depths = _projection_depths(
             data, queries, method.resolved_directions(p), method.direction_seed

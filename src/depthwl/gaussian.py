@@ -124,12 +124,16 @@ def mle_fit(data) -> GaussianParams:
     """Maximum likelihood estimate: sample mean and 1/n covariance.
 
     The 1/n normalization is the fixed point of the unweighted score
-    equations.  Raises ValueError on data ``_as_matrix`` rejects or a
-    singular sample covariance (e.g. identical rows or n <= p).
+    equations.  Raises ValueError on data ``_as_matrix`` rejects, a
+    sample covariance beyond the float64 range (data of scale about
+    1e154 and above) or a singular one (e.g. identical rows or n <= p).
     """
     data = _as_matrix(data)
     n = data.shape[0]
-    mu, sigma = weighted_location_scatter(data, np.ones(n), float(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sigma = weighted_location_scatter(data, np.ones(n), float(n))
+    if not np.isfinite(sigma).all():
+        raise ValueError("sample covariance overflows float64; rescale the data")
     try:
         return GaussianParams(mu, sigma)
     except ValueError:

@@ -73,6 +73,12 @@ class TestMle:
         with pytest.raises(ValueError):
             mle_fit(np.ones((5, 2)))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_covariance_overflow_reported(self, scale):
+        data = np.random.default_rng(4).standard_normal((20, 2)) * scale
+        with pytest.raises(ValueError, match="overflows float64"):
+            mle_fit(data)
+
     def test_univariate_pair(self):
         got = mle_fit([[0.0], [2.0]])
         assert got.mu[0] == pytest.approx(1.0)

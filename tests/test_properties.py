@@ -1,7 +1,8 @@
 """Property-based invariants: exact 2-D depth against an integer brute
-force, projection against exact depth, the residual lower bound,
-trimming, and the rejection of non-finite samples at every entry point
-that takes one."""
+force and the scalar sweep, projection depth against the per-direction
+loop and against exact depth, the residual lower bound, trimming, and
+the rejection of non-finite samples at every entry point that takes
+one."""
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from depthwl import (
     resolve_depth_method,
     subsample_inits,
 )
+from depthwl import depth
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -65,6 +67,88 @@ def brute_force_counts_2d(queries: np.ndarray, points: np.ndarray) -> np.ndarray
 def test_exact_2d_matches_integer_brute_force(points):
     got = empirical_depths(GRID_QUERIES, points, DepthMethod.exact_2d())
     want = brute_force_counts_2d(GRID_QUERIES, points) / len(points)
+    assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(INT_POINTS)
+def test_batched_2d_sweep_matches_scalar_sweep(points):
+    points = points.astype(np.float64)
+    got = depth._exact_counts_2d(points, GRID_QUERIES.astype(np.float64))
+    want = [depth._exact_count_2d(points, q) for q in GRID_QUERIES]
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, brute_force_counts_2d(GRID_QUERIES, points))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 1 << 16])
+def test_batched_2d_sweep_chunks(monkeypatch, batch):
+    # Continuous data, self-depth and separate queries, across query chunks.
+    monkeypatch.setattr(depth, "_BATCH", batch)
+    rng = np.random.default_rng(batch)
+    data = rng.standard_normal((40, 2))
+    for queries in (data, rng.standard_normal((25, 2))):
+        got = depth._exact_counts_2d(data, queries)
+        assert np.array_equal(got, [depth._exact_count_2d(data, q) for q in queries])
+
+
+@pytest.mark.parametrize(
+    "data, queries, counts",
+    [
+        # all points coincide: every closed half-plane holds all of them
+        ([[1.0, 1.0]] * 5, [[1.0, 1.0], [0.0, 0.0]], [5, 0]),
+        # (1, 2) is the midpoint of the other two points (exact tie)
+        ([[1.0, 2.0], [3.0, 3.0], [-1.0, 1.0]], None, [2, 1, 1]),
+        # a query on a data point whose maximal arc wraps past 2 pi and
+        # ends exactly opposite its start
+        ([[0.0, 0.0], [-3.0, 2.0], [3.0, -2.0], [-2.0, -1.0], [-3.0, 2.0]],
+         [[0.0, 0.0]], [2]),
+    ],
+)
+def test_batched_2d_sweep_ties(data, queries, counts):
+    data = np.array(data)
+    queries = data if queries is None else np.array(queries)
+    got = depth._exact_counts_2d(data, queries)
+    assert np.array_equal(got, counts)
+    assert np.array_equal(got, [depth._exact_count_2d(data, q) for q in queries])
+
+
+def reference_projection_depths(data, queries, n_directions, seed):
+    """The per-direction loop the rank counting replaced: the same seeded
+    directions, each projected column sorted and both closed tails of
+    every query found by binary search."""
+    n, p = data.shape
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    best = np.full(queries.shape[0], n + 1, dtype=np.int64)
+    remaining = n_directions
+    while remaining > 0:
+        chunk = min(remaining, 512)
+        u = rng.standard_normal((chunk, p))
+        norms = np.linalg.norm(u, axis=1)
+        ok = norms > 0
+        u = u[ok] / norms[ok, None]
+        proj_data = data @ u.T
+        proj_query = queries @ u.T
+        for j in range(u.shape[0]):
+            col = np.sort(proj_data[:, j])
+            le = np.searchsorted(col, proj_query[:, j], side="right")
+            ge = n - np.searchsorted(col, proj_query[:, j], side="left")
+            np.minimum(best, np.minimum(le, ge), out=best)
+        remaining -= chunk
+    return best / n
+
+
+@pytest.mark.parametrize("n_queries", [0, 17, 30], ids=["self", "17", "30"])
+@pytest.mark.parametrize("n_directions", [1, 511, 513, 1100])
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_projection_matches_per_direction_loop(p, n_directions, n_queries):
+    # Integer data in a small box: many tied projections.  The direction
+    # counts cross the 512-direction chunk and the ranking block; a query
+    # set other than the data may have the data's shape.
+    rng = np.random.default_rng(100 * p + n_directions)
+    data = rng.integers(-2, 3, (30, p)).astype(np.float64)
+    queries = rng.integers(-3, 4, (n_queries, p)).astype(np.float64) if n_queries else data
+    got = empirical_depths(queries, data, DepthMethod.projection(n_directions, seed=p))
+    want = reference_projection_depths(data, queries, n_directions, p)
     assert np.array_equal(got, want)
 
 
