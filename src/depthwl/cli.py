@@ -123,11 +123,13 @@ def _weight_spec(args) -> WeightSpec:
 
 
 def _depth_method(args, p: int) -> DepthMethod:
-    if args.depth_method == "projection" or (args.depth_method == "auto" and p > 2):
-        return DepthMethod.projection(args.directions, seed=args.seed)
-    if p > 2:
-        raise ValueError("exact depth is available only for p <= 2")
-    return resolve_depth_method(None, p)
+    if args.depth_method == "exact":
+        if p > 2:
+            raise ValueError("exact depth is available only for p <= 2")
+        return DepthMethod(f"exact-{p}d", args.directions)
+    return resolve_depth_method(
+        DepthMethod(args.depth_method, args.directions, args.seed), p
+    )
 
 
 def _estimator_config(args, p: int) -> EstimatorConfig:

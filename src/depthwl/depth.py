@@ -32,7 +32,7 @@ __all__ = [
 # (and enormous, which is what far outliers must produce).
 _DEPTH_FLOOR = float(np.finfo(np.float64).tiny)
 
-_KINDS = ("exact-1d", "exact-2d", "projection")
+_KINDS = ("auto", "exact-1d", "exact-2d", "projection")
 
 # Angle (rad) before an arc's end where the 2-D sweep checks for exact ties.
 _TIE_RAD = 1e-9
@@ -60,21 +60,22 @@ class DepthMethod:
     only for p=1 and p=2 respectively.  ``projection`` is valid for any
     p >= 1: it minimizes the half-space count over a seeded sample of
     directions instead of all of them, so it gives an upper bound on the
-    exact depth.
+    exact depth.  ``auto``, the default, is the exact algorithm for
+    p <= 2 and ``projection`` with its directions and seed otherwise.
     """
 
-    kind: str
+    kind: str = "auto"
     n_directions: int | None = None
     direction_seed: int = 0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown depth method kind: {self.kind!r}")
-        if self.kind == "projection":
+        if self.kind in ("auto", "projection"):
             if self.n_directions is not None and self.n_directions < 1:
                 raise ValueError("n_directions must be >= 1")
         elif self.n_directions is not None:
-            raise ValueError("n_directions only applies to the projection method")
+            raise ValueError("n_directions applies only to auto and projection")
 
     @classmethod
     def exact_1d(cls) -> "DepthMethod":
@@ -97,7 +98,7 @@ class DepthMethod:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
-        if self.kind == "projection":
+        if self.kind in ("auto", "projection"):
             d["n_directions"] = self.n_directions
             d["direction_seed"] = self.direction_seed
         return d
@@ -105,34 +106,31 @@ class DepthMethod:
     @classmethod
     def from_dict(cls, d: dict) -> "DepthMethod":
         return cls(
-            d["kind"],
+            d.get("kind", "auto"),
             d.get("n_directions"),
             int(d.get("direction_seed", 0)),
         )
 
 
-def resolve_depth_method(method: DepthMethod | None, p: int) -> DepthMethod:
-    """Fill in the default method for dimension ``p``.
+def resolve_depth_method(method: DepthMethod, p: int) -> DepthMethod:
+    """The concrete method that evaluates ``method`` in dimension ``p``.
 
-    ``None`` picks the exact algorithm for p <= 2 and the projection
-    approximation otherwise.  An explicit method is checked for
-    compatibility with ``p`` and returned unchanged.
+    ``auto`` becomes the exact algorithm for p <= 2 and the projection
+    approximation, with its directions and seed, otherwise.  Any other
+    method is checked for compatibility with ``p`` and returned
+    unchanged.
     """
-    if method is None:
+    if method.kind == "auto":
         if p == 1:
             return DepthMethod.exact_1d()
         if p == 2:
             return DepthMethod.exact_2d()
-        return DepthMethod.projection()
-    _check_compatible(method, p)
-    return method
-
-
-def _check_compatible(method: DepthMethod, p: int) -> None:
+        return DepthMethod.projection(method.n_directions, method.direction_seed)
     if method.kind == "exact-1d" and p != 1:
         raise ValueError("exact-1d depth requires 1-dimensional data")
     if method.kind == "exact-2d" and p != 2:
         raise ValueError("exact-2d depth requires 2-dimensional data")
+    return method
 
 
 def chi2_cdf(x, k: int):
@@ -311,7 +309,7 @@ def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
                          else np.atleast_2d(queries))
     if queries.shape[1] != p:
         raise ValueError("query dimension does not match data dimension")
-    _check_compatible(method, p)
+    method = resolve_depth_method(method, p)
 
     if method.kind == "exact-1d":
         depths = _closed_tail_counts(np.concatenate([data, queries]).T, n)[0, n:] / n

@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import (
-    DepthMethod,
-    empirical_depths_all,
-    population_depth_gaussian,
-    resolve_depth_method,
-)
+from .depth import DepthMethod, empirical_depths_all, population_depth_gaussian
 from .gaussian import GaussianParams, _as_matrix, kl_gaussian, weighted_location_scatter
 from .residuals import DprConfig, WeightSpec, apply_trim, dpr, weight
 from .residuals import weight_config_from_dict, weight_config_to_dict
@@ -62,14 +57,14 @@ class StepFailure(RuntimeError):
 class EstimatorConfig:
     """Everything that defines one weighted-likelihood estimator.
 
-    ``depth_method=None`` resolves to the exact algorithm for p <= 2
-    and the projection approximation otherwise.
+    The default ``depth_method`` is ``auto``: the exact algorithm for
+    p <= 2 and the projection approximation otherwise.
     ``min_effective_points=None`` resolves to p + 1.
     """
 
     dpr: DprConfig = DprConfig(0.5)
     weights: WeightSpec = field(default_factory=lambda: WeightSpec.optimal(0.5))
-    depth_method: DepthMethod | None = None
+    depth_method: DepthMethod = DepthMethod()
     scatter_norm: str = "literal-1-over-n"
     tol: float = 1e-8
     max_iter: int = 500
@@ -88,8 +83,7 @@ class EstimatorConfig:
     def to_dict(self) -> dict:
         return {
             "weights": weight_config_to_dict(self.weights, self.dpr),
-            "depth_method": None if self.depth_method is None
-            else self.depth_method.to_dict(),
+            "depth_method": self.depth_method.to_dict(),
             "scatter_norm": self.scatter_norm,
             "tol": self.tol,
             "max_iter": self.max_iter,
@@ -99,13 +93,10 @@ class EstimatorConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorConfig":
         spec, dcfg = weight_config_from_dict(d["weights"])
-        dm = d.get("depth_method")
-        if dm is not None and dm.get("kind") == "auto":
-            dm = None
         return cls(
             dpr=dcfg,
             weights=spec,
-            depth_method=None if dm is None else DepthMethod.from_dict(dm),
+            depth_method=DepthMethod.from_dict(d.get("depth_method") or {}),
             scatter_norm=d.get("scatter_norm", "literal-1-over-n"),
             tol=float(d.get("tol", 1e-8)),
             max_iter=int(d.get("max_iter", 500)),
@@ -253,9 +244,12 @@ def fit(
     start only, yielding a non-converged result with the reason.
     """
     data = _as_matrix(data)
+    if init.p != data.shape[1]:
+        raise ValueError(
+            f"start has dimension {init.p} but the data have dimension {data.shape[1]}"
+        )
     if emp_depths is None:
-        method = resolve_depth_method(cfg.depth_method, data.shape[1])
-        emp_depths = empirical_depths_all(data, method)
+        emp_depths = empirical_depths_all(data, cfg.depth_method)
 
     params = init
     iterations = 0
@@ -304,8 +298,7 @@ def find_roots(data, cfg: EstimatorConfig, inits) -> RootSet:
     if not inits:
         raise ValueError("at least one starting value is required")
     data = _as_matrix(data)
-    method = resolve_depth_method(cfg.depth_method, data.shape[1])
-    emp_depths = empirical_depths_all(data, method)
+    emp_depths = empirical_depths_all(data, cfg.depth_method)
     results = [fit(data, cfg, init, emp_depths=emp_depths) for init in inits]
 
     roots: list[FitResult] = []

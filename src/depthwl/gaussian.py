@@ -16,6 +16,7 @@ from scipy.linalg import solve_triangular
 
 __all__ = [
     "GaussianParams",
+    "SingularCovarianceError",
     "mahalanobis_sq",
     "mle_fit",
     "kl_gaussian",
@@ -23,6 +24,10 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
+
+
+class SingularCovarianceError(ValueError):
+    """A sample covariance is finite but not positive definite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +142,7 @@ def mle_fit(data) -> GaussianParams:
     try:
         return GaussianParams(mu, sigma)
     except ValueError:
-        raise ValueError("sample covariance is singular") from None
+        raise SingularCovarianceError("sample covariance is singular") from None
 
 
 def kl_gaussian(p0: GaussianParams, p1: GaussianParams) -> float:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import DepthMethod, _rng, empirical_depths_all, resolve_depth_method
-from .gaussian import GaussianParams, _as_matrix, mle_fit
+from .depth import DepthMethod, _rng, empirical_depths_all
+from .gaussian import GaussianParams, SingularCovarianceError, _as_matrix, mle_fit
 
 __all__ = [
     "InitSpec",
@@ -32,9 +32,10 @@ def elemental_subsample_size(p: int) -> int:
 def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
     """MLE fits of ``B`` random without-replacement elemental subsamples.
 
-    Draw b uses its own RNG stream keyed by (seed, b); a draw whose fit
-    is singular is redrawn from the same stream, with a global budget
-    of 100*B attempts before giving up.  ``seed`` may be an int or a
+    Draw b uses its own RNG stream keyed by (seed, b); a draw whose
+    covariance is singular is redrawn from the same stream, with a
+    global budget of 100*B attempts before giving up.  Any other
+    ``mle_fit`` error propagates.  ``seed`` may be an int or a
     sequence of ints (callers embedding this in larger experiments pass
     composite keys).
     """
@@ -58,39 +59,30 @@ def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
             idx = rng.choice(n, size=size, replace=False)
             try:
                 inits.append(mle_fit(data[idx]))
-            except ValueError:
+            except SingularCovarianceError:
                 continue
             break
     return inits
 
 
-def depth_init(
-    data,
-    method: DepthMethod | None = None,
-    center: str = "deepest",
-) -> GaussianParams:
+def depth_init(data, method: DepthMethod = DepthMethod()) -> GaussianParams:
     """Deterministic start: deepest observation and deep-half covariance.
 
     Location is the sample point of maximal empirical depth (ties go to
     the lowest row index).  Scatter is the covariance of the
     ceil(n/2) deepest rows, centered at that same deepest point so the
-    two pieces describe one center; ``center="half-mean"`` centers at
-    the deep-half mean instead.  Ties at the cutoff depth are resolved
-    by row index.
+    two pieces describe one center.  Ties at the cutoff depth are
+    resolved by row index.
     """
     data = _as_matrix(data)
     n, p = data.shape
-    if center not in ("deepest", "half-mean"):
-        raise ValueError("center must be 'deepest' or 'half-mean'")
-    method = resolve_depth_method(method, p)
     depths = empirical_depths_all(data, method)
     deepest = int(np.argmax(depths))
     k = (n + 1) // 2
     order = np.argsort(-depths, kind="stable")
     half = data[order[:k]]
     mu = data[deepest]
-    c = mu if center == "deepest" else half.mean(axis=0)
-    diff = half - c
+    diff = half - mu
     sigma = diff.T @ diff / k
     try:
         return GaussianParams(mu, 0.5 * (sigma + sigma.T))
@@ -125,7 +117,7 @@ class InitSpec:
     def make_inits(
         self,
         data,
-        depth_method: DepthMethod | None = None,
+        depth_method: DepthMethod = DepthMethod(),
         truth: GaussianParams | None = None,
         seed_keys=None,
     ) -> list[GaussianParams]:

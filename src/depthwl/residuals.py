@@ -154,8 +154,13 @@ def weight(tau, spec: WeightSpec):
             ),
         )
         out = (h + spec.gamma) / (1.0 + spec.gamma)
+    elif spec.a == 0.0:
+        out = np.ones_like(tau)
     else:
-        out = np.exp(-spec.a * tau**2)
+        # tau**2 overflows for |tau| beyond ~1.3e154, which far outliers
+        # reach when alpha > 0.5; exp(-a * inf) is then the right 0.
+        with np.errstate(over="ignore"):
+            out = np.exp(-spec.a * tau**2)
     return float(out) if out.ndim == 0 else out
 
 

@@ -124,6 +124,8 @@ class GridConfig:
                 raise ValueError(f"{name} must be nonempty")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        for p in self.dims:
+            resolve_depth_method(self.estimator.depth_method, p)
 
     def cells(self):
         """Deterministic cell enumeration; the position is the cell id."""
@@ -247,7 +249,6 @@ def _run_cell(cfg: GridConfig, cell_id: int, cell) -> CellResult:
     n = sample_size(p, s)
     truth = GaussianParams.standard(p)
     spec = ContaminationSpec(eps, mu_c, sigma_c)
-    method = resolve_depth_method(cfg.estimator.depth_method, p)
 
     wle_mse, wle_kl, mle_mse_v, mle_kl_v = [], [], [], []
     failures = 0
@@ -261,7 +262,7 @@ def _run_cell(cfg: GridConfig, cell_id: int, cell) -> CellResult:
             continue
         try:
             inits = cfg.init.make_inits(
-                data, method, truth=truth, seed_keys=[cell_id, r]
+                data, cfg.estimator.depth_method, truth=truth, seed_keys=[cell_id, r]
             )
             roots = find_roots(data, cfg.estimator, inits)
         except ValueError:

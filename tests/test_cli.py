@@ -240,6 +240,10 @@ class TestDepthCommand:
         many = [float(l.split(",")[1]) for l in many_p.read_text().strip().split("\n")[1:]]
         assert all(f >= m for f, m in zip(few, many))
 
+    def test_directions_rejected_with_exact(self, clean_csv):
+        assert main(["depth", "--input", clean_csv, "--depth-method", "exact",
+                     "--directions", "10"]) == 1
+
 
 class TestSimulateCommand:
     def grid_blob(self, **overrides):

@@ -296,9 +296,9 @@ class TestValidation:
                 empirical_depth([bad, 0.0], np.zeros((3, 2)), DepthMethod.exact_2d())
 
     def test_resolve_auto(self):
-        assert resolve_depth_method(None, 1).kind == "exact-1d"
-        assert resolve_depth_method(None, 2).kind == "exact-2d"
-        assert resolve_depth_method(None, 5).kind == "projection"
+        assert resolve_depth_method(DepthMethod(), 1).kind == "exact-1d"
+        assert resolve_depth_method(DepthMethod(), 2).kind == "exact-2d"
+        assert resolve_depth_method(DepthMethod(), 5).kind == "projection"
 
     def test_query_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -145,6 +145,11 @@ class TestFit:
         assert res.converged
         assert np.linalg.norm(res.params.mu - base.params.mu) < 1.0
 
+    def test_start_dimension_must_match_data(self):
+        data = np.random.default_rng(11).standard_normal((40, 2))
+        with pytest.raises(ValueError, match="dimension 3.*dimension 2"):
+            fit(data, EstimatorConfig(), GaussianParams.standard(3))
+
 
 class TestFindRoots:
     def test_single_basin_single_root(self):
@@ -238,11 +243,13 @@ class TestConfigValidation:
             EstimatorConfig(tol=0.0)
 
     def test_round_trip(self):
-        cfg = EstimatorConfig(
-            dpr=DprConfig(0.25),
-            weights=WeightSpec.smooth_exp(0.1, trim_xi=2.0),
-            depth_method=DepthMethod.projection(500, seed=3),
-            scatter_norm="sum-of-weights",
-        )
-        back = EstimatorConfig.from_dict(cfg.to_dict())
-        assert back == cfg
+        for method in (DepthMethod.projection(500, seed=3), DepthMethod("auto", 7, 3),
+                       DepthMethod()):
+            cfg = EstimatorConfig(
+                dpr=DprConfig(0.25),
+                weights=WeightSpec.smooth_exp(0.1, trim_xi=2.0),
+                depth_method=method,
+                scatter_norm="sum-of-weights",
+            )
+            back = EstimatorConfig.from_dict(cfg.to_dict())
+            assert back == cfg

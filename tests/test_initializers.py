@@ -62,6 +62,11 @@ class TestSubsampleInits:
         with pytest.raises(ValueError, match="singular"):
             subsample_inits(data, 2, seed=0)
 
+    def test_overflow_is_not_redrawn(self):
+        data = np.random.default_rng(5).standard_normal((30, 2)) * 1e160
+        with pytest.raises(ValueError, match="overflows"):
+            subsample_inits(data, 3, seed=0)
+
     def test_every_init_is_valid_params(self):
         data = np.random.default_rng(4).standard_normal((40, 3))
         for g in subsample_inits(data, 15, seed=11):
@@ -112,18 +117,6 @@ class TestDepthInit:
         mapped = depth_init(data @ a.T + b, depths_method)
         assert np.allclose(mapped.mu, a @ base.mu + b, rtol=1e-10, atol=1e-10)
         assert np.allclose(mapped.sigma, a @ base.sigma @ a.T, rtol=1e-10, atol=1e-10)
-
-    def test_half_mean_centering_flag(self):
-        rng = np.random.default_rng(7)
-        data = rng.standard_normal((30, 2))
-        deepest = depth_init(data, center="deepest")
-        half_mean = depth_init(data, center="half-mean")
-        assert np.array_equal(deepest.mu, half_mean.mu)
-        assert not np.array_equal(deepest.sigma, half_mean.sigma)
-
-    def test_bad_center_flag(self):
-        with pytest.raises(ValueError):
-            depth_init(np.zeros((10, 1)), center="median")
 
 
 class TestInitSpec:

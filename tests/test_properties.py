@@ -198,7 +198,7 @@ def _find_roots(data):
 
 
 def _depths_all(data):
-    return empirical_depths_all(data, resolve_depth_method(None, data.shape[1]))
+    return empirical_depths_all(data, resolve_depth_method(DepthMethod(), data.shape[1]))
 
 
 def _depth(data):

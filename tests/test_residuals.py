@@ -89,6 +89,13 @@ class TestWeight:
         assert weight(2.0, spec) == pytest.approx(math.exp(-0.2))
         assert weight(0.0, spec) == 1.0
 
+    def test_smooth_exp_residual_beyond_square_range(self):
+        # 1e200**2 overflows float64
+        flat = weight([1e200, 1.0], WeightSpec.smooth_exp(0.0))
+        assert np.array_equal(flat, [1.0, 1.0])
+        spec = WeightSpec.smooth_exp(0.05)
+        assert np.array_equal(weight([1e200, 2.0], spec), [0.0, weight(2.0, spec)])
+
     def test_bounds_and_unit_at_zero(self):
         taus = np.concatenate([np.linspace(-1, 50, 2000), [1e6]])
         for spec in SPECS:

@@ -7,6 +7,7 @@ import pytest
 
 from depthwl import (
     ContaminationSpec,
+    DepthMethod,
     EstimatorConfig,
     GaussianParams,
     GridConfig,
@@ -14,6 +15,7 @@ from depthwl import (
     WeightSpec,
     breakdown_experiment,
     efficiency,
+    empirical_depths_all,
     generate_dataset,
     kl_gaussian,
     mle_fit,
@@ -103,6 +105,26 @@ def small_grid(**overrides):
     )
     kwargs.update(overrides)
     return GridConfig(**kwargs)
+
+
+class TestGridDepthMethod:
+    def test_auto_keeps_directions_and_seed(self):
+        blob = small_grid(dims=(3,)).to_dict()
+        blob["estimator"]["depth_method"] = {
+            "kind": "auto", "n_directions": 7, "direction_seed": 3,
+        }
+        method = GridConfig.from_dict(blob).estimator.depth_method
+        data = np.random.default_rng(12).standard_normal((30, 3))
+        assert np.array_equal(
+            empirical_depths_all(data, method),
+            empirical_depths_all(data, DepthMethod.projection(7, seed=3)),
+        )
+
+    def test_method_checked_against_every_dimension(self):
+        exact = EstimatorConfig(depth_method=DepthMethod.exact_2d())
+        small_grid(dims=(2,), estimator=exact)
+        with pytest.raises(ValueError, match="exact-2d"):
+            small_grid(dims=(2, 3), estimator=exact)
 
 
 class TestRunGrid:
