@@ -25,7 +25,7 @@ print("1-D: depth is just the smaller closed tail fraction")
 print("=" * 70)
 data = np.array([[1.0], [2.0], [3.0]])
 for q in (1.0, 2.0, 2.5, 10.0):
-    d = empirical_depth([q], data, DepthMethod.exact_1d())
+    d = empirical_depth([q], data, DepthMethod.exact())
     print(f"  depth of {q:4} in {{1, 2, 3}} = {d:.4f}")
 print("  (10 lies outside the convex hull, hence depth 0)")
 
@@ -36,11 +36,11 @@ print("=" * 70)
 triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 center = [1 / 3, 1 / 3]
 print(f"  triangle vertices, query at the centroid:")
-print(f"  depth = {empirical_depth(center, triangle, DepthMethod.exact_2d()):.4f}"
+print(f"  depth = {empirical_depth(center, triangle, DepthMethod.exact()):.4f}"
       f"  (the centroid of a triangle always has depth 1/3)")
 
 sample = rng.standard_normal((400, 2))
-depths = empirical_depths_all(sample, DepthMethod.exact_2d())
+depths = empirical_depths_all(sample, DepthMethod.exact())
 deepest = sample[np.argmax(depths)]
 print(f"  n=400 Gaussian sample: deepest point {np.round(deepest, 3)} "
       f"with depth {depths.max():.3f}")
@@ -67,7 +67,7 @@ for r in (0.0, 1.0, 2.0, 3.0):
           f"{population_depth_gaussian([r, 0.0], gp):.5f}")
 
 big = rng.standard_normal((40_000, 2))
-emp = empirical_depth([2.0, 0.0], big, DepthMethod.exact_2d())
+emp = empirical_depth([2.0, 0.0], big, DepthMethod.exact())
 pop = population_depth_gaussian([2.0, 0.0], gp)
 print(f"  empirical depth of (2, 0) in n=40000 sample: {emp:.5f}")
 print(f"  population value:                            {pop:.5f}")

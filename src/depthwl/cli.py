@@ -123,10 +123,6 @@ def _weight_spec(args) -> WeightSpec:
 
 
 def _depth_method(args, p: int) -> DepthMethod:
-    if args.depth_method == "exact":
-        if p > 2:
-            raise ValueError("exact depth is available only for p <= 2")
-        return DepthMethod(f"exact-{p}d", args.directions)
     return resolve_depth_method(
         DepthMethod(args.depth_method, args.directions, args.seed), p
     )

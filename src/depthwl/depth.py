@@ -32,7 +32,7 @@ __all__ = [
 # (and enormous, which is what far outliers must produce).
 _DEPTH_FLOOR = float(np.finfo(np.float64).tiny)
 
-_KINDS = ("auto", "exact-1d", "exact-2d", "projection")
+_KINDS = ("auto", "exact", "projection")
 
 # Angle (rad) before an arc's end where the 2-D sweep checks for exact ties.
 _TIE_RAD = 1e-9
@@ -56,12 +56,13 @@ def _rng(seed, *extra) -> np.random.Generator:
 class DepthMethod:
     """How to evaluate empirical half-space depth.
 
-    ``exact-1d`` and ``exact-2d`` are exact counting algorithms valid
-    only for p=1 and p=2 respectively.  ``projection`` is valid for any
-    p >= 1: it minimizes the half-space count over a seeded sample of
-    directions instead of all of them, so it gives an upper bound on the
-    exact depth.  ``auto``, the default, is the exact algorithm for
-    p <= 2 and ``projection`` with its directions and seed otherwise.
+    ``exact`` counts over all directions and is available for p <= 2:
+    tail counts at p = 1, an angular sweep at p = 2; the data fix which.
+    ``projection`` is valid for any p >= 1: it minimizes the half-space
+    count over a seeded sample of directions instead of all of them, so
+    it gives an upper bound on the exact depth.  ``auto``, the default,
+    is ``exact`` for p <= 2 and ``projection`` with its directions and
+    seed otherwise.  ``resolve_depth_method`` makes these choices.
     """
 
     kind: str = "auto"
@@ -78,12 +79,8 @@ class DepthMethod:
             raise ValueError("n_directions applies only to auto and projection")
 
     @classmethod
-    def exact_1d(cls) -> "DepthMethod":
-        return cls("exact-1d")
-
-    @classmethod
-    def exact_2d(cls) -> "DepthMethod":
-        return cls("exact-2d")
+    def exact(cls) -> "DepthMethod":
+        return cls("exact")
 
     @classmethod
     def projection(cls, n_directions: int | None = None, seed: int = 0) -> "DepthMethod":
@@ -113,24 +110,20 @@ class DepthMethod:
 
 
 def resolve_depth_method(method: DepthMethod, p: int) -> DepthMethod:
-    """The concrete method that evaluates ``method`` in dimension ``p``.
+    """The concrete method that evaluates ``method`` in dimension ``p``:
+    ``exact`` or ``projection``.
 
-    ``auto`` becomes the exact algorithm for p <= 2 and the projection
-    approximation, with its directions and seed, otherwise.  Any other
-    method is checked for compatibility with ``p`` and returned
-    unchanged.
+    ``auto`` becomes ``exact`` for p <= 2 and the projection
+    approximation, with its directions and seed, otherwise.  ``exact``
+    at p > 2 raises ValueError.
     """
-    if method.kind == "auto":
-        if p == 1:
-            return DepthMethod.exact_1d()
-        if p == 2:
-            return DepthMethod.exact_2d()
-        return DepthMethod.projection(method.n_directions, method.direction_seed)
-    if method.kind == "exact-1d" and p != 1:
-        raise ValueError("exact-1d depth requires 1-dimensional data")
-    if method.kind == "exact-2d" and p != 2:
-        raise ValueError("exact-2d depth requires 2-dimensional data")
-    return method
+    if method.kind == "projection":
+        return method
+    if p <= 2:
+        return DepthMethod.exact()
+    if method.kind == "exact":
+        raise ValueError("exact depth is available only for p <= 2")
+    return DepthMethod.projection(method.n_directions, method.direction_seed)
 
 
 def chi2_cdf(x, k: int):
@@ -311,15 +304,13 @@ def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
         raise ValueError("query dimension does not match data dimension")
     method = resolve_depth_method(method, p)
 
-    if method.kind == "exact-1d":
-        depths = _closed_tail_counts(np.concatenate([data, queries]).T, n)[0, n:] / n
-    elif method.kind == "exact-2d":
-        depths = _exact_counts_2d(data, queries) / n
-    else:
-        depths = _projection_depths(
+    if method.kind == "projection":
+        return _projection_depths(
             data, queries, method.resolved_directions(p), method.direction_seed
         )
-    return depths
+    if p == 1:
+        return _closed_tail_counts(np.concatenate([data, queries]).T, n)[0, n:] / n
+    return _exact_counts_2d(data, queries) / n
 
 
 def empirical_depth(query, data, method: DepthMethod) -> float:

@@ -59,7 +59,6 @@ class EstimatorConfig:
 
     The default ``depth_method`` is ``auto``: the exact algorithm for
     p <= 2 and the projection approximation otherwise.
-    ``min_effective_points=None`` resolves to p + 1.
     """
 
     dpr: DprConfig = DprConfig(0.5)
@@ -68,7 +67,6 @@ class EstimatorConfig:
     scatter_norm: str = "literal-1-over-n"
     tol: float = 1e-8
     max_iter: int = 500
-    min_effective_points: int | None = None
 
     def __post_init__(self):
         if self.scatter_norm not in ("sum-of-weights", "literal-1-over-n"):
@@ -77,8 +75,6 @@ class EstimatorConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.min_effective_points is not None and self.min_effective_points < 1:
-            raise ValueError("min_effective_points must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -87,11 +83,13 @@ class EstimatorConfig:
             "scatter_norm": self.scatter_norm,
             "tol": self.tol,
             "max_iter": self.max_iter,
-            "min_effective_points": self.min_effective_points,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorConfig":
+        unknown = set(d) - {"weights", "depth_method", "scatter_norm", "tol", "max_iter"}
+        if unknown:
+            raise ValueError(f"unknown fields: {sorted(unknown)}")
         spec, dcfg = weight_config_from_dict(d["weights"])
         return cls(
             dpr=dcfg,
@@ -100,7 +98,6 @@ class EstimatorConfig:
             scatter_norm=d.get("scatter_norm", "literal-1-over-n"),
             tol=float(d.get("tol", 1e-8)),
             max_iter=int(d.get("max_iter", 500)),
-            min_effective_points=d.get("min_effective_points"),
         )
 
 
@@ -180,11 +177,6 @@ class RootSet:
         )
 
 
-def _min_effective_points(cfg: EstimatorConfig, p: int) -> float:
-    return float(p + 1 if cfg.min_effective_points is None
-                 else cfg.min_effective_points)
-
-
 def _residuals_weights(data, params, emp_depths, cfg):
     d_model = population_depth_gaussian(data, params)
     tau = dpr(emp_depths, d_model, cfg.dpr)
@@ -202,12 +194,12 @@ def irwls_step(
 
     Returns (new_params, weights, residuals) where weights/residuals
     are the ones evaluated at ``params`` that produced the update.
-    Raises StepFailure when too little weight survives trimming or the
-    updated scatter is not SPD.
+    Raises StepFailure when the surviving weight sums to less than
+    p + 1 or the updated scatter is not SPD.
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
-    min_eff = _min_effective_points(cfg, params.p)
+    min_eff = params.p + 1
     tau, w = _residuals_weights(data, params, emp_depths, cfg)
     sum_w = float(w.sum())
     if sum_w < min_eff:

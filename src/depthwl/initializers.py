@@ -95,15 +95,13 @@ class InitSpec:
     """Declarative choice of starting values.
 
     strategy: "subsample" (B elemental fits), "depth_deterministic",
-    "truth" (params given here, or supplied by the caller when the
-    experiment knows the generating values), or "custom" (explicit
-    list of parameter sets).
+    "truth" (the generating parameters, supplied by the caller), or
+    "custom" (explicit list of parameter sets).
     """
 
     strategy: str
     b: int = 500
     seed: int = 0
-    params: GaussianParams | None = None
     custom: tuple = ()
 
     def __post_init__(self):
@@ -124,8 +122,7 @@ class InitSpec:
         """Materialize the starting values for one dataset.
 
         ``seed_keys`` extends the subsample seed for embedding in a
-        larger seeded experiment; ``truth`` backs the "truth" strategy
-        when no explicit params were stored.
+        larger seeded experiment; ``truth`` backs the "truth" strategy.
         """
         if self.strategy == "subsample":
             keys = [self.seed] + list(seed_keys or [])
@@ -133,10 +130,9 @@ class InitSpec:
         if self.strategy == "depth_deterministic":
             return [depth_init(data, depth_method)]
         if self.strategy == "truth":
-            params = self.params if self.params is not None else truth
-            if params is None:
+            if truth is None:
                 raise ValueError("truth strategy requires known parameters")
-            return [params]
+            return [truth]
         return list(self.custom)
 
     def to_dict(self) -> dict:
@@ -144,25 +140,18 @@ class InitSpec:
         if self.strategy == "subsample":
             d["B"] = self.b
             d["seed"] = self.seed
-        elif self.strategy == "truth" and self.params is not None:
-            d["params"] = self.params.to_dict()
         elif self.strategy == "custom":
             d["params_list"] = [g.to_dict() for g in self.custom]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "InitSpec":
+        unknown = set(d) - {"strategy", "B", "seed", "params_list"}
+        if unknown:
+            raise ValueError(f"unknown fields: {sorted(unknown)}")
         strategy = d["strategy"]
-        if strategy == "depth":
-            strategy = "depth_deterministic"
         if strategy == "subsample":
             return cls("subsample", b=int(d.get("B", 500)), seed=int(d.get("seed", 0)))
-        if strategy == "truth":
-            params = d.get("params")
-            return cls(
-                "truth",
-                params=None if params is None else GaussianParams.from_dict(params),
-            )
         if strategy == "custom":
             return cls(
                 "custom",

@@ -379,7 +379,8 @@ def breakdown_experiment(
 
     The outliers sit at (distance, ..., distance) with a tiny
     N(0, 1e-6 I) perturbation keeping the augmented sample in general
-    position.  Requires n > 2p so the clean fit is well posed.
+    position.  Raises ValueError unless n > 2p and the clean fit
+    converges.
     """
     if n <= 2 * p:
         raise ValueError(f"breakdown experiment requires n > 2*p (got n={n}, p={p}); "
@@ -388,7 +389,7 @@ def breakdown_experiment(
     data = rng.standard_normal((n, p))
     clean = fit(data, cfg, mle_fit(data))
     if not clean.converged:
-        raise RuntimeError(f"clean fit failed: {clean.message}")
+        raise ValueError(f"clean fit failed: {clean.message}")
 
     outliers = distance + 1e-3 * rng.standard_normal((m, p))
     augmented = np.vstack([data, outliers]) if m > 0 else data

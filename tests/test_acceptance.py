@@ -44,7 +44,7 @@ def report(num, name, ok, detail):
 def test_criterion_1_exact_depth_oracle():
     t0 = time.time()
     rng = np.random.default_rng(SEED)
-    method = DepthMethod.exact_2d()
+    method = DepthMethod.exact()
     mismatches = 0
     for _ in range(200):
         n = int(rng.integers(1, 13))

@@ -176,7 +176,7 @@ class TestFitWeightFlags:
         assert cfg == EstimatorConfig(
             dpr=DprConfig(alpha),
             weights=WeightSpec.optimal(alpha),
-            depth_method=DepthMethod.exact_2d(),
+            depth_method=DepthMethod.exact(),
         )
 
     def test_smooth_family_takes_table_xi(self, monkeypatch, clean_csv):
@@ -297,6 +297,19 @@ class TestSimulateCommand:
                      "--output-dir", str(tmp_path / "x")]) == 1
         assert "invalid field: estimator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, code", [("exact", 0), ("exact-1d", 1), ("exact-2d", 1)],
+                             ids=["exact", "exact-1d", "exact-2d"])
+    def test_exact_kind_spelling(self, tmp_path, capsys, kind, code):
+        grid = tmp_path / "grid.json"
+        weights = {"family": "piecewise", "delta1": 2, "delta2": 9,
+                   "gamma": 0.3, "xi": 1, "alpha": 0.5}
+        estimator = {"weights": weights, "depth_method": {"kind": kind}}
+        grid.write_text(json.dumps(self.grid_blob(estimator=estimator)))
+        assert main(["simulate", "--grid", str(grid),
+                     "--output-dir", str(tmp_path / "x")]) == code
+        if code:
+            assert "unknown depth method kind" in capsys.readouterr().err
+
 
 class TestBreakdownCommand:
     def test_no_outliers(self, tmp_path):
@@ -324,6 +337,12 @@ class TestBreakdownCommand:
         assert main(["breakdown", "--p", "5", "--n", "10", "--m", "1",
                      "--distance", "1e3", "--seed", "1"]) == 1
         assert "n > 2*p" in capsys.readouterr().err
+
+    def test_clean_fit_failure_reported(self, capsys):
+        assert main(["breakdown", "--p", "5", "--n", "30", "--m", "5",
+                     "--distance", "50", "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: clean fit failed: effective sample size")
 
 
 class TestUsage:

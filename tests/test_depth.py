@@ -104,7 +104,7 @@ class TestPopulationDepth:
         # depth; binomial noise at n=80000 is ~0.0005
         rng = np.random.default_rng(0)
         data = rng.standard_normal((80_000, 2))
-        emp = empirical_depth([2.0, 0.0], data, DepthMethod.exact_2d())
+        emp = empirical_depth([2.0, 0.0], data, DepthMethod.exact())
         pop = population_depth_gaussian([2.0, 0.0], GaussianParams.standard(2))
         assert emp == pytest.approx(pop, abs=3e-3)
 
@@ -145,38 +145,38 @@ class TestPopulationDepth:
 class TestExact1d:
     def test_inner_point(self):
         data = [[1.0], [2.0], [3.0]]
-        assert empirical_depth([2.0], data, DepthMethod.exact_1d()) == pytest.approx(2 / 3)
+        assert empirical_depth([2.0], data, DepthMethod.exact()) == pytest.approx(2 / 3)
 
     def test_outside_hull(self):
         data = [[1.0], [2.0], [3.0]]
-        assert empirical_depth([10.0], data, DepthMethod.exact_1d()) == 0.0
+        assert empirical_depth([10.0], data, DepthMethod.exact()) == 0.0
 
     def test_all_depths_three_points(self):
-        got = empirical_depths_all([1.0, 2.0, 3.0], DepthMethod.exact_1d())
+        got = empirical_depths_all([1.0, 2.0, 3.0], DepthMethod.exact())
         assert np.allclose(got, [1 / 3, 2 / 3, 1 / 3])
 
     def test_all_depths_four_points(self):
-        got = empirical_depths_all([0.0, 1.0, 2.0, 3.0], DepthMethod.exact_1d())
+        got = empirical_depths_all([0.0, 1.0, 2.0, 3.0], DepthMethod.exact())
         assert np.allclose(got, [1 / 4, 1 / 2, 1 / 2, 1 / 4])
 
     def test_single_point(self):
-        assert np.allclose(empirical_depths_all([[7.0]], DepthMethod.exact_1d()), [1.0])
+        assert np.allclose(empirical_depths_all([[7.0]], DepthMethod.exact()), [1.0])
 
     def test_duplicate_points(self):
-        got = empirical_depths_all([1.0, 1.0, 2.0], DepthMethod.exact_1d())
+        got = empirical_depths_all([1.0, 1.0, 2.0], DepthMethod.exact())
         assert np.allclose(got, [2 / 3, 2 / 3, 1 / 3])
 
 
 class TestExact2d:
     def test_triangle_centroid(self):
         data = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-        got = empirical_depth([1 / 3, 1 / 3], data, DepthMethod.exact_2d())
+        got = empirical_depth([1 / 3, 1 / 3], data, DepthMethod.exact())
         assert got == pytest.approx(1 / 3)
         assert got == pytest.approx(brute_force_depth_2d([1 / 3, 1 / 3], data))
 
     def test_matches_oracle_random_instances(self):
         rng = np.random.default_rng(42)
-        method = DepthMethod.exact_2d()
+        method = DepthMethod.exact()
         for _ in range(80):
             n = int(rng.integers(1, 13))
             data = rng.standard_normal((n, 2))
@@ -190,7 +190,7 @@ class TestExact2d:
 
     def test_collinear_and_repeated_points(self):
         data = [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]
-        method = DepthMethod.exact_2d()
+        method = DepthMethod.exact()
         for q in data:
             got = empirical_depth(q, data, method)
             want = brute_force_depth_2d(q, data)
@@ -202,12 +202,12 @@ class TestExact2d:
         # depth is 2/3.  Rounded angles put the offset exactly opposite
         # the arc start inside the open half-circle and gave 1/3.
         data = [[1.0, 2.0], [3.0, 3.0], [-1.0, 1.0]]
-        got = empirical_depths_all(data, DepthMethod.exact_2d())
+        got = empirical_depths_all(data, DepthMethod.exact())
         assert np.array_equal(got * 3, [2.0, 1.0, 1.0])
 
     def test_affine_invariance_exact(self):
         rng = np.random.default_rng(3)
-        method = DepthMethod.exact_2d()
+        method = DepthMethod.exact()
         for _ in range(20):
             n = int(rng.integers(3, 11))
             data = rng.standard_normal((n, 2))
@@ -227,7 +227,7 @@ class TestProjection:
     def test_upper_bounds_exact(self):
         rng = np.random.default_rng(11)
         data = rng.standard_normal((40, 2))
-        exact = empirical_depths_all(data, DepthMethod.exact_2d())
+        exact = empirical_depths_all(data, DepthMethod.exact())
         approx = empirical_depths_all(data, DepthMethod.projection(50, seed=5))
         assert np.all(approx >= exact - 1e-12)
 
@@ -243,6 +243,17 @@ class TestProjection:
         got = empirical_depths_all(data, DepthMethod.projection(7, seed=1))
         assert np.allclose(got, [1 / 4, 1 / 2, 1 / 2, 1 / 4])
 
+    @pytest.mark.parametrize("p, k, other", [(3, 1000, 300), (12, 1200, 1000)])
+    def test_default_direction_count(self, p, k, other):
+        # max(1000, 100 p) directions; ``other`` (100 p, 1000) gives
+        # different depths on this data, so either wrong default shows
+        data = np.random.default_rng(p).standard_normal((30, p))
+        default = empirical_depths_all(data, DepthMethod.projection())
+        assert np.array_equal(default, empirical_depths_all(data, DepthMethod.projection(k)))
+        assert not np.array_equal(
+            default, empirical_depths_all(data, DepthMethod.projection(other))
+        )
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(13)
         data = rng.standard_normal((25, 3))
@@ -255,8 +266,8 @@ class TestDepthVectorInvariants:
     def test_self_depths_bounded_below(self):
         rng = np.random.default_rng(21)
         for p, method in [
-            (1, DepthMethod.exact_1d()),
-            (2, DepthMethod.exact_2d()),
+            (1, DepthMethod.exact()),
+            (2, DepthMethod.exact()),
             (4, DepthMethod.projection(300, seed=2)),
         ]:
             n = 17
@@ -268,8 +279,9 @@ class TestDepthVectorInvariants:
 
 class TestValidation:
     def test_method_kind(self):
-        with pytest.raises(ValueError):
-            DepthMethod("exact-3d")
+        for kind in ("exact-1d", "exact-2d", "exact-3d"):
+            with pytest.raises(ValueError, match="unknown depth method kind"):
+                DepthMethod(kind)
 
     def test_n_directions_positive(self):
         with pytest.raises(ValueError):
@@ -277,29 +289,26 @@ class TestValidation:
 
     def test_directions_rejected_for_exact(self):
         with pytest.raises(ValueError):
-            DepthMethod("exact-2d", n_directions=10)
+            DepthMethod("exact", n_directions=10)
 
-    def test_dimension_compatibility(self):
-        data2 = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            empirical_depth([0.0, 0.0], data2, DepthMethod.exact_1d())
-        with pytest.raises(ValueError):
-            empirical_depth([0.0], np.zeros((3, 1)), DepthMethod.exact_2d())
+    def test_exact_rejects_p3(self):
+        with pytest.raises(ValueError, match="p <= 2"):
+            empirical_depth([0.0, 0.0, 0.0], np.eye(3), DepthMethod.exact())
 
     def test_empty_data(self):
         with pytest.raises(ValueError):
-            empirical_depth([0.0], np.zeros((0, 1)), DepthMethod.exact_1d())
+            empirical_depth([0.0], np.zeros((0, 1)), DepthMethod.exact())
 
     def test_non_finite_query_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                empirical_depth([bad, 0.0], np.zeros((3, 2)), DepthMethod.exact_2d())
+                empirical_depth([bad, 0.0], np.zeros((3, 2)), DepthMethod.exact())
 
     def test_resolve_auto(self):
-        assert resolve_depth_method(DepthMethod(), 1).kind == "exact-1d"
-        assert resolve_depth_method(DepthMethod(), 2).kind == "exact-2d"
+        assert resolve_depth_method(DepthMethod(), 1) == DepthMethod.exact()
+        assert resolve_depth_method(DepthMethod(), 2) == DepthMethod.exact()
         assert resolve_depth_method(DepthMethod(), 5).kind == "projection"
 
     def test_query_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            empirical_depths(np.zeros((2, 3)), np.zeros((4, 2)), DepthMethod.exact_2d())
+            empirical_depths(np.zeros((2, 3)), np.zeros((4, 2)), DepthMethod.exact())

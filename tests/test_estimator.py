@@ -36,7 +36,7 @@ class TestIrwlsStep:
     def test_unit_weights_one_step_is_mle(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((30, 2))
-        depths = empirical_depths_all(data, DepthMethod.exact_2d())
+        depths = empirical_depths_all(data, DepthMethod.exact())
         for start in (
             GaussianParams.standard(2),
             GaussianParams([5.0, -7.0], 9.0 * np.eye(2)),
@@ -52,7 +52,7 @@ class TestIrwlsStep:
         data = rng.standard_normal((500, 2))
         truth = GaussianParams.standard(2)
         cfg = EstimatorConfig()
-        depths = empirical_depths_all(data, DepthMethod.exact_2d())
+        depths = empirical_depths_all(data, DepthMethod.exact())
         params, w, tau = irwls_step(data, truth, depths, cfg)
         assert np.max(np.abs(tau)) < 0.5
         assert np.mean(w) > 0.95
@@ -63,7 +63,7 @@ class TestIrwlsStep:
         rng = np.random.default_rng(3)
         data = contaminated_sample(rng)
         cfg = EstimatorConfig()
-        depths = empirical_depths_all(data, DepthMethod.exact_2d())
+        depths = empirical_depths_all(data, DepthMethod.exact())
         params, w, tau = irwls_step(data, GaussianParams.standard(2), depths, cfg)
         assert np.all(w[40:] == 0.0)
         # trimming may clip the odd clean point whose empirical depth
@@ -71,12 +71,13 @@ class TestIrwlsStep:
         assert np.count_nonzero(w[:40]) >= 38
 
     def test_effective_sample_failure(self):
+        # a start far from the data trims all but 1.38 of weight, below p + 1
         rng = np.random.default_rng(4)
         data = rng.standard_normal((10, 2))
-        cfg = EstimatorConfig(min_effective_points=11)
-        depths = empirical_depths_all(data, DepthMethod.exact_2d())
-        with pytest.raises(StepFailure):
-            irwls_step(data, GaussianParams.standard(2), depths, cfg)
+        depths = empirical_depths_all(data, DepthMethod.exact())
+        far = GaussianParams([1e3, 1e3], np.eye(2))
+        with pytest.raises(StepFailure, match="1.38 below minimum 3"):
+            irwls_step(data, far, depths, EstimatorConfig())
 
 
 class TestFit:
@@ -122,7 +123,7 @@ class TestFit:
         cfg = EstimatorConfig()
         res = fit(data, cfg, GaussianParams.standard(2))
         assert res.converged
-        depths = empirical_depths_all(data, DepthMethod.exact_2d())
+        depths = empirical_depths_all(data, DepthMethod.exact())
         again, _, _ = irwls_step(data, res.params, depths, cfg)
         assert np.max(np.abs(again.mu - res.params.mu)) < 10 * cfg.tol
         assert np.max(np.abs(again.sigma - res.params.sigma)) < 10 * cfg.tol
@@ -253,3 +254,9 @@ class TestConfigValidation:
             )
             back = EstimatorConfig.from_dict(cfg.to_dict())
             assert back == cfg
+
+    def test_unknown_field_rejected(self):
+        d = EstimatorConfig().to_dict()
+        d["min_effective_points"] = 1000
+        with pytest.raises(ValueError, match="min_effective_points"):
+            EstimatorConfig.from_dict(d)

@@ -110,7 +110,7 @@ class TestDepthInit:
     def test_affine_equivariance_with_distinct_depths(self):
         rng = np.random.default_rng(6)
         data = rng.standard_normal((21, 2))
-        depths_method = DepthMethod.exact_2d()
+        depths_method = DepthMethod.exact()
         base = depth_init(data, depths_method)
         a = np.array([[2.0, 0.5], [-0.25, 1.5]])
         b = np.array([1.0, -2.0])
@@ -133,9 +133,13 @@ class TestInitSpec:
         truth = GaussianParams.standard(2)
         assert spec.make_inits(np.zeros((10, 2)), truth=truth) == [truth]
 
-    def test_depth_alias(self):
-        spec = InitSpec.from_dict({"strategy": "depth"})
-        assert spec.strategy == "depth_deterministic"
+    def test_removed_spellings_rejected(self):
+        # depth_deterministic and custom are the only spellings
+        with pytest.raises(ValueError, match="unknown init strategy"):
+            InitSpec.from_dict({"strategy": "depth"})
+        params = GaussianParams.standard(2).to_dict()
+        with pytest.raises(ValueError, match="params"):
+            InitSpec.from_dict({"strategy": "truth", "params": params})
 
     def test_custom_round_trip(self):
         spec = InitSpec("custom", custom=(GaussianParams.standard(2),))

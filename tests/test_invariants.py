@@ -32,7 +32,7 @@ class TestModelWeights:
         means = []
         for _ in range(10):
             data = rng.standard_normal((50, 2))
-            depths = empirical_depths_all(data, DepthMethod.exact_2d())
+            depths = empirical_depths_all(data, DepthMethod.exact())
             _, w, _ = irwls_step(data, GaussianParams.standard(2), depths, cfg)
             means.append(w.mean())
         assert np.mean(means) > 0.9
@@ -43,7 +43,7 @@ class TestModelWeights:
         outliers = np.array([4.0, 4.0]) + 0.3 * rng.standard_normal((15, 2))
         data = np.vstack([clean, outliers])
         cfg = EstimatorConfig()
-        depths = empirical_depths_all(data, DepthMethod.exact_2d())
+        depths = empirical_depths_all(data, DepthMethod.exact())
         params = GaussianParams.standard(2)
         for _ in range(40):
             params, w, _ = irwls_step(data, params, depths, cfg)
@@ -116,7 +116,7 @@ class TestResidualBounds:
             clean = rng.standard_normal((30, 2))
             shifted = np.array([3.0, 0.0]) + rng.standard_normal((20, 2))
             data = np.vstack([clean, shifted])
-            depths = empirical_depths_all(data, DepthMethod.exact_2d())
+            depths = empirical_depths_all(data, DepthMethod.exact())
             start = mle_fit(data)
             _, _, tau = irwls_step(data, start, depths, cfg)
             assert np.all(tau >= -1.0)
@@ -124,5 +124,5 @@ class TestResidualBounds:
 
 class TestSinglePoint2d:
     def test_depth_one(self):
-        got = empirical_depths_all(np.array([[3.0, -1.0]]), DepthMethod.exact_2d())
+        got = empirical_depths_all(np.array([[3.0, -1.0]]), DepthMethod.exact())
         assert np.allclose(got, [1.0])

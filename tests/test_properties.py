@@ -65,7 +65,7 @@ def brute_force_counts_2d(queries: np.ndarray, points: np.ndarray) -> np.ndarray
 @PROPERTY
 @given(INT_POINTS)
 def test_exact_2d_matches_integer_brute_force(points):
-    got = empirical_depths(GRID_QUERIES, points, DepthMethod.exact_2d())
+    got = empirical_depths(GRID_QUERIES, points, DepthMethod.exact())
     want = brute_force_counts_2d(GRID_QUERIES, points) / len(points)
     assert np.array_equal(got, want)
 
@@ -163,9 +163,8 @@ def test_projection_never_below_exact(p, n, seed, integer):
     rng = np.random.default_rng(seed)
     data = rng.integers(-3, 4, (n, p)) if integer else rng.standard_normal((n, p))
     data = data.astype(np.float64)
-    exact = DepthMethod.exact_1d() if p == 1 else DepthMethod.exact_2d()
     approx = empirical_depths_all(data, DepthMethod.projection(64, seed=seed))
-    assert np.all(approx >= empirical_depths_all(data, exact))
+    assert np.all(approx >= empirical_depths_all(data, DepthMethod.exact()))
 
 
 @PROPERTY

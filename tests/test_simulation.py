@@ -1,5 +1,6 @@
 """Monte Carlo harness: generation, metrics, grids, breakdown."""
 
+import json
 import math
 
 import numpy as np
@@ -121,9 +122,9 @@ class TestGridDepthMethod:
         )
 
     def test_method_checked_against_every_dimension(self):
-        exact = EstimatorConfig(depth_method=DepthMethod.exact_2d())
+        exact = EstimatorConfig(depth_method=DepthMethod.exact())
         small_grid(dims=(2,), estimator=exact)
-        with pytest.raises(ValueError, match="exact-2d"):
+        with pytest.raises(ValueError, match="p <= 2"):
             small_grid(dims=(2, 3), estimator=exact)
 
 
@@ -173,13 +174,27 @@ class TestRunGrid:
             assert rec["max_mse"] >= max(c.mean_mse for c in covered)
             assert rec["max_kl"] >= max(c.mean_kl for c in covered)
 
-    def test_failures_recorded_not_fatal(self):
-        bad = EstimatorConfig(min_effective_points=1000)
-        cfg = small_grid(estimator=bad, reps=2)
-        report = run_grid(cfg)
+    @pytest.mark.parametrize("overrides", [
+        # mle_fit overflows
+        dict(mu_cs=(1e160,), epsilons=(0.2,)),
+        # n = 5 is below the elemental subsample size 6
+        dict(size_factors=(1,), init=InitSpec("subsample", b=5)),
+        # no start converges
+        dict(estimator=EstimatorConfig(max_iter=1, tol=1e-300)),
+    ], ids=["mle-overflow", "below-elemental-size", "no-convergence"])
+    def test_failures_recorded_not_fatal(self, overrides):
+        report = run_grid(small_grid(reps=2, **overrides))
         for cell in report.cells:
             assert cell.failures == 2
             assert math.isnan(cell.mean_mse)
+
+    def test_custom_start_equals_truth(self):
+        blob = small_grid().to_dict()
+        blob["init"] = {"strategy": "custom",
+                        "params_list": [GaussianParams.standard(2).to_dict()]}
+        custom = GridConfig.from_dict(json.loads(json.dumps(blob)))
+        assert custom.init.strategy == "custom"
+        assert run_grid(custom).to_csv() == run_grid(small_grid()).to_csv()
 
     def test_retrieval_counts_bounded(self):
         cfg = small_grid(reps=4)
