@@ -142,17 +142,21 @@ def cmd_fit(args) -> int:
     data = load_csv_dataset(args.input)
     p = data.shape[1]
     cfg = _estimator_config(args, p)
+    # empirical_depths_all(data), computed once for the depth start and
+    # the fit; spelled through empirical_depths, the depth entry point
+    # perfbench traces in this module.
+    emp_depths = empirical_depths(data, data, cfg.depth_method)
     if args.init == "subsample":
         inits = subsample_inits(data, args.subsamples, args.seed)
     elif args.init == "depth":
-        inits = [depth_init(data, cfg.depth_method)]
+        inits = [depth_init(data, depths=emp_depths)]
     else:
         if args.init_file is None:
             raise ValueError("--init file requires --init-file PATH")
         raw = json.loads(Path(args.init_file).read_text())
         raw = raw if isinstance(raw, list) else [raw]
         inits = [GaussianParams.from_dict(d) for d in raw]
-    roots = find_roots(data, cfg, inits)
+    roots = find_roots(data, cfg, inits, emp_depths)
     _write_output(_json_dumps(roots.to_dict()), args.output)
     return 0 if roots.selected is not None else 2
 

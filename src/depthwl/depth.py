@@ -102,6 +102,9 @@ class DepthMethod:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DepthMethod":
+        unknown = set(d) - {"kind", "n_directions", "direction_seed"}
+        if unknown:
+            raise ValueError(f"unknown fields: {sorted(unknown)}")
         return cls(
             d.get("kind", "auto"),
             d.get("n_directions"),

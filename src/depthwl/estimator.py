@@ -279,18 +279,26 @@ def _symmetrized_kl(a: GaussianParams, b: GaussianParams) -> float:
     return kl_gaussian(a, b) + kl_gaussian(b, a)
 
 
-def find_roots(data, cfg: EstimatorConfig, inits) -> RootSet:
+def find_roots(
+    data,
+    cfg: EstimatorConfig,
+    inits,
+    emp_depths: np.ndarray | None = None,
+) -> RootSet:
     """Run ``fit`` from every start, deduplicate and rank the roots.
 
     Starts are processed in input order, so the result is
     deterministic.  Converged results closer than DEDUP_KL in
     symmetrized KL collapse to the first representative.
+    ``emp_depths``, as in ``fit``, shares the depths a caller already
+    computed (e.g. for a depth start).
     """
     inits = list(inits)
     if not inits:
         raise ValueError("at least one starting value is required")
     data = _as_matrix(data)
-    emp_depths = empirical_depths_all(data, cfg.depth_method)
+    if emp_depths is None:
+        emp_depths = empirical_depths_all(data, cfg.depth_method)
     results = [fit(data, cfg, init, emp_depths=emp_depths) for init in inits]
 
     roots: list[FitResult] = []

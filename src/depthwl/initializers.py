@@ -65,18 +65,25 @@ def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
     return inits
 
 
-def depth_init(data, method: DepthMethod = DepthMethod()) -> GaussianParams:
+def depth_init(
+    data,
+    method: DepthMethod = DepthMethod(),
+    depths: np.ndarray | None = None,
+) -> GaussianParams:
     """Deterministic start: deepest observation and deep-half covariance.
 
     Location is the sample point of maximal empirical depth (ties go to
     the lowest row index).  Scatter is the covariance of the
     ceil(n/2) deepest rows, centered at that same deepest point so the
     two pieces describe one center.  Ties at the cutoff depth are
-    resolved by row index.
+    resolved by row index.  ``depths``, the ``empirical_depths_all``
+    of ``data`` under ``method``, may be passed to share them with the
+    fit.
     """
     data = _as_matrix(data)
     n, p = data.shape
-    depths = empirical_depths_all(data, method)
+    if depths is None:
+        depths = empirical_depths_all(data, method)
     deepest = int(np.argmax(depths))
     k = (n + 1) // 2
     order = np.argsort(-depths, kind="stable")
@@ -115,12 +122,14 @@ class InitSpec:
     def make_inits(
         self,
         data,
-        depth_method: DepthMethod = DepthMethod(),
+        depths: np.ndarray | None = None,
         truth: GaussianParams | None = None,
         seed_keys=None,
     ) -> list[GaussianParams]:
         """Materialize the starting values for one dataset.
 
+        ``depths``, the ``empirical_depths_all`` of ``data``, back the
+        depth start (computed under the default method when absent);
         ``seed_keys`` extends the subsample seed for embedding in a
         larger seeded experiment; ``truth`` backs the "truth" strategy.
         """
@@ -128,7 +137,7 @@ class InitSpec:
             keys = [self.seed] + list(seed_keys or [])
             return subsample_inits(data, self.b, keys)
         if self.strategy == "depth_deterministic":
-            return [depth_init(data, depth_method)]
+            return [depth_init(data, depths=depths)]
         if self.strategy == "truth":
             if truth is None:
                 raise ValueError("truth strategy requires known parameters")

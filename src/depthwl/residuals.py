@@ -13,6 +13,7 @@ median of the residuals by more than ``xi``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,8 +180,16 @@ def apply_trim(tau, w, xi: float):
         raise ValueError("residual and weight vectors must have equal length")
     if not xi > 0.0:
         raise ValueError("xi must be positive")
-    threshold = np.median(tau) + xi
-    return np.where(tau <= threshold, w, 0.0)
+    # np.median's rule, bit for bit, from one partition: the middle order
+    # statistic or the midpoint of the two middle ones, NaN if any entry
+    # is NaN (a partition puts NaNs last).
+    n = tau.size
+    half = n // 2
+    part = np.partition(tau, (half, -1) if n % 2 else (half - 1, half, -1), axis=None)
+    median = part[half] if n % 2 else 0.5 * (part[half - 1] + part[half])
+    if math.isnan(part[-1]):
+        median = part[-1]
+    return np.where(tau <= median + xi, w, 0.0)
 
 
 @dataclass(frozen=True)
@@ -255,7 +264,10 @@ def weight_config_from_dict(d: dict) -> tuple[WeightSpec, DprConfig]:
     """Inverse of ``weight_config_to_dict``.  The shape fields present
     (null counts as absent) go to ``WeightSpec``, which rejects an
     unknown family and a missing or inapplicable field.  ``xi`` null or
-    ``"inf"`` disables trimming."""
+    ``"inf"`` disables trimming.  Any other key raises ValueError."""
+    unknown = set(d) - {"family", "xi", "alpha", *_SHAPE_FIELDS}
+    if unknown:
+        raise ValueError(f"unknown fields: {sorted(unknown)}")
     cfg = DprConfig(float(d["alpha"]))
     xi = d.get("xi", 1.0)
     xi = float("inf") if xi in ("inf", None) else float(xi)

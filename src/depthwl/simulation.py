@@ -152,6 +152,9 @@ class GridConfig:
     def from_dict(cls, d: dict) -> "GridConfig":
         required = ("dims", "size_factors", "epsilons", "mu_cs", "sigma_cs",
                     "reps", "seed")
+        unknown = set(d) - {*required, "estimator", "init"}
+        if unknown:
+            raise ValueError(f"unknown fields: {sorted(unknown)}")
         for name in required:
             if name not in d:
                 raise ValueError(f"grid config is missing field: {name}")
@@ -261,10 +264,11 @@ def _run_cell(cfg: GridConfig, cell_id: int, cell) -> CellResult:
             failures += 1
             continue
         try:
+            emp_depths = empirical_depths_all(data, cfg.estimator.depth_method)
             inits = cfg.init.make_inits(
-                data, cfg.estimator.depth_method, truth=truth, seed_keys=[cell_id, r]
+                data, emp_depths, truth=truth, seed_keys=[cell_id, r]
             )
-            roots = find_roots(data, cfg.estimator, inits)
+            roots = find_roots(data, cfg.estimator, inits, emp_depths)
         except ValueError:
             failures += 1
             continue

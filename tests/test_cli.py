@@ -12,10 +12,13 @@ from depthwl import (
     GaussianParams,
     RootSet,
     WeightSpec,
+    depth_init,
+    empirical_depths,
+    find_roots,
     kl_gaussian,
     mle_fit,
 )
-from depthwl import cli
+from depthwl import cli, depth
 from depthwl.cli import CsvError, load_csv_dataset, main
 
 
@@ -143,6 +146,25 @@ class TestFitCommand:
         assert code == 0
         assert json.loads(out.read_text())["roots"]
 
+    def test_init_depth_one_depth_pass(self, clean_csv, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(queries, data, method):
+            calls.append(method)
+            return empirical_depths(queries, data, method)
+
+        monkeypatch.setattr(cli, "empirical_depths", counting)
+        monkeypatch.setattr(depth, "empirical_depths", counting)
+        out = tmp_path / "d.json"
+        assert main(["fit", "--input", clean_csv, "--init", "depth",
+                     "--output", str(out)]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # The output of a depth start and a fit that each compute the depths.
+        data = load_csv_dataset(clean_csv)
+        want = find_roots(data, EstimatorConfig(), [depth_init(data)])
+        assert out.read_text() == cli._json_dumps(want.to_dict())
+
     def test_round_trip_serialization(self, clean_csv, tmp_path):
         out = tmp_path / "fit.json"
         main([
@@ -158,7 +180,7 @@ def fit_config(monkeypatch, csv_path, *flags) -> EstimatorConfig:
     """The EstimatorConfig that ``depthwl fit`` builds from ``flags``."""
     seen = []
 
-    def fake_find_roots(data, cfg, inits):
+    def fake_find_roots(data, cfg, inits, emp_depths=None):
         seen.append(cfg)
         return RootSet(roots=(), selected=None, diagnostics={})
 

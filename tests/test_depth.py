@@ -287,6 +287,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             DepthMethod.projection(0)
 
+    def test_from_dict_unknown_field(self):
+        with pytest.raises(ValueError, match=r"unknown fields: \['n_direction'\]"):
+            DepthMethod.from_dict({"kind": "projection", "n_direction": 50})
+
     def test_directions_rejected_for_exact(self):
         with pytest.raises(ValueError):
             DepthMethod("exact", n_directions=10)

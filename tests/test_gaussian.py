@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from depthwl import (
     GaussianParams,
@@ -13,6 +14,7 @@ from depthwl import (
     mahalanobis_sq,
     mle_fit,
 )
+from depthwl.gaussian import _solve_lower
 
 
 def random_spd(rng, p, scale=1.0):
@@ -130,6 +132,33 @@ class TestKl:
             diff = log_density(draws, p0) - log_density(draws, p1)
             mc, se = float(np.mean(diff)), float(np.std(diff) / math.sqrt(n))
             assert abs(kl_gaussian(p0, p1) - mc) <= 3 * se
+
+
+class TestSolveLower:
+    """The direct LAPACK solve is scipy's ``solve_triangular`` bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 50, 300])
+    def test_bit_equal_to_solve_triangular(self, p, n):
+        rng = np.random.default_rng(100 * p + n)
+        for scale in (1e-5, 1.0, 1e5):
+            chol = GaussianParams(rng.standard_normal(p), random_spd(rng, p, scale)).chol
+            other = random_spd(rng, p, scale)
+            half = solve_triangular(chol, other, lower=True)
+            rhs = {
+                "vector": scale * rng.standard_normal(p),
+                # mahalanobis_sq: centered rows, transposed (F-ordered)
+                "rows.T": (scale * rng.standard_normal((n, p))).T,
+                "C-ordered": scale * rng.standard_normal((p, n)),
+                # kl_gaussian: a scatter matrix, then the transposed half solve
+                "sigma": other,
+                "half.T": half.T,
+            }
+            for name, b in rhs.items():
+                want = solve_triangular(chol, b, lower=True)
+                got = _solve_lower(chol, b)
+                assert got.shape == want.shape, name
+                assert np.array_equal(got, want), name
 
 
 class TestLogDensity:

@@ -1,12 +1,12 @@
 """Property-based invariants: exact 2-D depth against an integer brute
 force and the scalar sweep, projection depth against the per-direction
-loop and against exact depth, the residual lower bound, trimming, and
-the rejection of non-finite samples at every entry point that takes
-one."""
+loop and against exact depth, the residual lower bound, trimming and
+its median against ``np.median``, the cached log-determinant, and the
+rejection of non-finite samples at every entry point that takes one."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -185,6 +185,49 @@ def test_residual_at_least_minus_one(d_emp, d_model, alpha):
 def test_trimming_keeps_at_least_half(tau, xi):
     kept = apply_trim(tau, np.ones_like(tau), xi)
     assert 2 * np.count_nonzero(kept) >= tau.size
+
+
+# Residual vectors: n odd and even from 1 up, integer ties, a wide range
+# of magnitudes (sums of two stay finite) and +inf; the estimator's
+# residuals are at least -1, so -inf never occurs.
+RESIDUALS = hnp.arrays(
+    np.float64,
+    st.integers(1, 80),
+    elements=st.one_of(
+        st.integers(-2, 2).map(float),
+        st.floats(-1.0, 1e300),
+        st.just(np.inf),
+    ),
+)
+
+
+@PROPERTY
+@given(RESIDUALS, st.one_of(st.floats(0.0, 1e300, exclude_min=True), st.just(np.inf)))
+@example(np.array([0.3]), 1.0)
+@example(np.array([1.0, 1.0, 1.0, 5.0]), 1.0)
+@example(np.array([2.0, 0.0, 2.0, 0.0, 2.0]), np.inf)
+@example(np.array([0.0, np.nan, 1.0]), 1.0)
+def test_trim_median_is_np_median(tau, xi):
+    w = np.linspace(0.25, 1.0, tau.size)
+    want = np.where(tau <= np.median(tau) + xi, w, 0.0)
+    assert apply_trim(tau, w, xi).tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 5).map(lambda p: (p, p + 2)),
+        elements=st.floats(-10.0, 10.0),
+    ),
+    st.integers(-150, 150),
+)
+def test_cached_log_det_is_cholesky_sum(factor, exponent):
+    p = factor.shape[0]
+    sigma = (factor @ factor.T + np.eye(p)) * 10.0**exponent
+    params = GaussianParams(np.zeros(p), sigma)
+    want = 2.0 * float(np.log(np.diag(params.chol)).sum())
+    assert params.log_det.hex() == want.hex()
 
 
 def _fit(data):

@@ -155,6 +155,12 @@ class TestWeightConfigDict:
         with pytest.raises(ValueError, match="unknown weight family"):
             weight_config_from_dict({"family": "tukey", "alpha": 0.5})
 
+    def test_unknown_field_rejected(self):
+        piecewise = weight_config_to_dict(WeightSpec.optimal(0.5), DprConfig())
+        piecewise["delat1"] = piecewise.pop("delta1")
+        with pytest.raises(ValueError, match=r"unknown fields: \['delat1'\]"):
+            weight_config_from_dict(piecewise)
+
 
 class TestTrim:
     def test_all_equal_residuals_untouched(self):

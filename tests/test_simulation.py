@@ -15,8 +15,10 @@ from depthwl import (
     InitSpec,
     WeightSpec,
     breakdown_experiment,
+    depth_init,
     efficiency,
     empirical_depths_all,
+    find_roots,
     generate_dataset,
     kl_gaussian,
     mle_fit,
@@ -24,6 +26,7 @@ from depthwl import (
     run_grid,
     sample_size,
 )
+from depthwl import depth
 
 UNIT_WEIGHT_ESTIMATOR = EstimatorConfig(
     weights=WeightSpec.smooth_exp(0.0, trim_xi=float("inf"))
@@ -128,6 +131,14 @@ class TestGridDepthMethod:
             small_grid(dims=(2, 3), estimator=exact)
 
 
+class TestGridConfigDict:
+    def test_unknown_field_rejected(self):
+        blob = small_grid().to_dict()
+        blob["inti"] = blob.pop("init")
+        with pytest.raises(ValueError, match=r"unknown fields: \['inti'\]"):
+            GridConfig.from_dict(blob)
+
+
 class TestRunGrid:
     def test_unit_weights_single_rep_equals_mle(self):
         cfg = small_grid(
@@ -195,6 +206,32 @@ class TestRunGrid:
         custom = GridConfig.from_dict(json.loads(json.dumps(blob)))
         assert custom.init.strategy == "custom"
         assert run_grid(custom).to_csv() == run_grid(small_grid()).to_csv()
+
+    def test_depth_start_one_depth_pass(self, monkeypatch):
+        calls = []
+        real = depth.empirical_depths
+
+        def counting(queries, data, method):
+            calls.append(method)
+            return real(queries, data, method)
+
+        monkeypatch.setattr(depth, "empirical_depths", counting)
+        cfg = small_grid(epsilons=(0.0, 0.2), reps=3,
+                         init=InitSpec("depth_deterministic"))
+        report = run_grid(cfg)
+        assert len(calls) == 2 * 3
+        monkeypatch.undo()
+        # The cells of a depth start and a fit that each compute the depths.
+        for cell_id, cell in enumerate(report.cells):
+            p, spec = cell.p, ContaminationSpec(cell.epsilon, cell.mu_c, cell.sigma_c)
+            kl = []
+            for r in range(cfg.reps):
+                data, _ = generate_dataset(sample_size(p, cell.s), p, spec,
+                                           [cfg.seed, cell_id, r, 0])
+                roots = find_roots(data, cfg.estimator, [depth_init(data)])
+                kl.append(kl_gaussian(roots.best.params, GaussianParams.standard(p)))
+            assert cell.failures == 0
+            assert cell.mean_kl == float(np.mean(kl))
 
     def test_retrieval_counts_bounded(self):
         cfg = small_grid(reps=4)
