@@ -23,7 +23,7 @@ from .estimator import (
     EstimatorConfig,
     FitResult,
     RootSet,
-    StepFailure,
+    Step,
     find_roots,
     fit,
     irwls_step,
@@ -90,7 +90,7 @@ __all__ = [
     "EstimatorConfig",
     "FitResult",
     "RootSet",
-    "StepFailure",
+    "Step",
     "DEDUP_KL",
     "irwls_step",
     "fit",

@@ -19,16 +19,31 @@ Empirical depths do not depend on the parameters and are computed once
 per dataset.  The equations may have several roots; ``find_roots``
 iterates from many starting values, deduplicates converged results and
 selects the root fitting the most effective mass.
+
+One solver iterates every start at once, in the manner of FAST-MCD's
+C-steps over many subsamples: ``irwls_step`` updates a stack of
+problems (locations, Cholesky factors, the data and depths of each)
+in one pass, and problems leave the stack as they converge, fail or
+run out of iterations.  ``fit`` is a stack of one, ``find_roots`` a
+stack of its starts, and a simulation grid cell one stack over the
+starts of all its replications.  Each problem's arithmetic does not
+depend on what else is in the stack, so a start gives the same result
+bit for bit however it is batched.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .depth import DepthMethod, empirical_depths_all, population_depth_gaussian
-from .gaussian import GaussianParams, _as_matrix, kl_gaussian, weighted_location_scatter
+from .depth import DepthMethod, _model_depth, empirical_depths_all
+# Not called here: perfbench's tracer patches model depth at this name.
+from .depth import population_depth_gaussian  # noqa: F401
+from .gaussian import GaussianParams, _as_matrix, _stacked_mahalanobis_sq, kl_gaussian
+from .gaussian import weighted_location_scatter
 from .residuals import DprConfig, WeightSpec, apply_trim, dpr, weight
 from .residuals import weight_config_from_dict, weight_config_to_dict
 
@@ -36,7 +51,7 @@ __all__ = [
     "EstimatorConfig",
     "FitResult",
     "RootSet",
-    "StepFailure",
+    "Step",
     "irwls_step",
     "fit",
     "find_roots",
@@ -49,8 +64,11 @@ __all__ = [
 DEDUP_KL = 1e-3
 
 
-class StepFailure(RuntimeError):
-    """A single reweighting step could not produce valid parameters."""
+# A stack of problems holds at most this many data rows (problems x n),
+# which bounds the solver's working arrays as depth.py's _BATCH does.
+_ROWS = 1 << 16
+
+_MAX_ITER_MESSAGE = "maximum iterations reached without convergence"
 
 
 @dataclass(frozen=True)
@@ -107,8 +125,9 @@ class FitResult:
 
     ``weights`` and ``residuals`` are evaluated at the returned
     parameters.  ``converged`` means the last parameter update moved
-    less than ``tol`` in relative max-norm; otherwise ``message``
-    carries the failure reason.
+    less than ``tol`` in max-norm scaled by 1 + the new value's
+    max-norm (max |new - old| / (1 + max |new|), locations and
+    scatters each); otherwise ``message`` carries the failure reason.
     """
 
     params: GaussianParams
@@ -177,50 +196,187 @@ class RootSet:
         )
 
 
-def _residuals_weights(data, params, emp_depths, cfg):
-    d_model = population_depth_gaussian(data, params)
+class Step(NamedTuple):
+    """One reweighting update of S problems (see ``irwls_step``)."""
+
+    mu: np.ndarray          # (S, p) updated locations
+    sigma: np.ndarray       # (S, p, p) updated scatters
+    chol: np.ndarray        # (S, p, p) their lower Cholesky factors
+    weights: np.ndarray     # (S, n) at the parameters that were updated
+    residuals: np.ndarray   # (S, n) likewise
+    failures: dict          # stack index -> why that update failed
+
+
+def _residuals_weights(x, mu, chol, emp_depths, cfg):
+    d_model = _model_depth(_stacked_mahalanobis_sq(x, mu, chol))
     tau = dpr(emp_depths, d_model, cfg.dpr)
     w = apply_trim(tau, weight(tau, cfg.weights), cfg.weights.trim_xi)
     return tau, w
 
 
+def _cholesky(sigma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of symmetric matrices, NaN for
+    those that are not positive definite."""
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        out = np.full_like(sigma, np.nan)
+        for i, s in enumerate(sigma):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.cholesky(s)
+        return out
+
+
 def irwls_step(
-    data: np.ndarray,
-    params: GaussianParams,
+    x: np.ndarray,
+    mu: np.ndarray,
+    chol: np.ndarray,
     emp_depths: np.ndarray,
     cfg: EstimatorConfig,
-) -> tuple[GaussianParams, np.ndarray, np.ndarray]:
-    """One reweighting update from ``params``.
+) -> Step:
+    """One reweighting update of S problems at once.
 
-    Returns (new_params, weights, residuals) where weights/residuals
-    are the ones evaluated at ``params`` that produced the update.
-    Raises StepFailure when the surviving weight sums to less than
-    p + 1 or the updated scatter is not SPD.
+    Problem i has data ``x[i]`` (n, p), empirical depths
+    ``emp_depths[i]`` (n,), location ``mu[i]`` and the lower Cholesky
+    factor ``chol[i]`` of its scatter.  Each problem's update is
+    computed as in a stack of one, bit for bit.  An update fails when
+    the surviving weight sums to less than p + 1 or the new scatter is
+    not finite and positive definite: ``failures`` maps the problem's
+    index to the reason and its rows of the new parameters are
+    meaningless.
     """
-    data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
-    min_eff = params.p + 1
-    tau, w = _residuals_weights(data, params, emp_depths, cfg)
-    sum_w = float(w.sum())
-    if sum_w < min_eff:
-        raise StepFailure(
-            f"effective sample size {sum_w:.3g} below minimum {min_eff:.3g}"
-        )
-    denom = float(n) if cfg.scatter_norm == "literal-1-over-n" else sum_w
-    mu, sigma = weighted_location_scatter(data, w, denom)
-    try:
-        new_params = GaussianParams(mu, sigma)
-    except ValueError:
-        raise StepFailure("updated scatter matrix is singular") from None
-    return new_params, w, tau
-
-
-def _converged(old: GaussianParams, new: GaussianParams, tol: float) -> bool:
-    dmu = float(np.abs(new.mu - old.mu).max()) / (1.0 + float(np.abs(new.mu).max()))
-    dsig = float(np.abs(new.sigma - old.sigma).max()) / (
-        1.0 + float(np.abs(new.sigma).max())
+    tau, w = _residuals_weights(x, mu, chol, emp_depths, cfg)
+    n, p = x.shape[1:]
+    min_eff = p + 1
+    sum_w = w.sum(axis=1)
+    low = sum_w < min_eff
+    failures = {
+        int(i): f"effective sample size {sum_w[i]:.3g} below minimum {min_eff:.3g}"
+        for i in np.flatnonzero(low)
+    }
+    keep = ~low
+    new_mu = np.full(mu.shape, np.nan)
+    new_sigma = np.full(chol.shape, np.nan)
+    denom = float(n) if cfg.scatter_norm == "literal-1-over-n" else sum_w[keep]
+    new_mu[keep], new_sigma[keep] = weighted_location_scatter(x[keep], w[keep], denom)
+    finite = np.isfinite(new_mu).all(axis=1) & np.isfinite(new_sigma).all(axis=(1, 2))
+    new_chol = np.full_like(new_sigma, np.nan)
+    new_chol[finite] = _cholesky(new_sigma[finite])
+    singular = keep & np.isnan(new_chol).any(axis=(1, 2))
+    failures.update(
+        (int(i), "updated scatter matrix is singular") for i in np.flatnonzero(singular)
     )
-    return max(dmu, dsig) < tol
+    return Step(new_mu, new_sigma, new_chol, w, tau, failures)
+
+
+def _converged(mu, sigma, new_mu, new_sigma, tol: float) -> np.ndarray:
+    dmu = np.abs(new_mu - mu).max(axis=1) / (1.0 + np.abs(new_mu).max(axis=1))
+    dsig = np.abs(new_sigma - sigma).max(axis=(1, 2)) / (
+        1.0 + np.abs(new_sigma).max(axis=(1, 2))
+    )
+    return np.maximum(dmu, dsig) < tol
+
+
+def _starts(inits, p: int):
+    """Stacked (mu, sigma, chol) of the starting values ``inits``.
+
+    Raises ValueError when there is none or one has a dimension other
+    than the data's ``p``."""
+    if not inits:
+        raise ValueError("at least one starting value is required")
+    for init in inits:
+        if init.p != p:
+            raise ValueError(
+                f"start has dimension {init.p} but the data have dimension {p}"
+            )
+    return tuple(np.array([getattr(g, a) for g in inits]) for a in ("mu", "sigma", "chol"))
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """Reweighting problems on D datasets of n rows each, solved.
+
+    ``data`` is (D, n, p), ``emp_depths`` (D, n) and ``ds`` (S,) the
+    dataset of each problem; the other arrays hold each problem's final
+    parameters, successful steps, convergence flag and failure reason
+    (None when converged).
+    """
+
+    data: np.ndarray
+    emp_depths: np.ndarray
+    ds: np.ndarray
+    cfg: EstimatorConfig
+    mu: np.ndarray
+    sigma: np.ndarray
+    chol: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    messages: list
+
+    def params(self, i: int) -> GaussianParams:
+        return GaussianParams(self.mu[i], self.sigma[i])
+
+    def results(self, idx, params) -> list:
+        """FitResults of the problems ``idx`` with parameters ``params``
+        (their ``params(i)``): weights and residuals at those parameters
+        from one stacked evaluation."""
+        idx = np.asarray(idx, dtype=np.intp)
+        tau, w = _residuals_weights(
+            self.data[self.ds[idx]], self.mu[idx], self.chol[idx],
+            self.emp_depths[self.ds[idx]], self.cfg,
+        )
+        return [
+            FitResult(
+                params=g,
+                weights=w[k],
+                residuals=tau[k],
+                iterations=int(self.iterations[i]),
+                converged=bool(self.converged[i]),
+                sum_weights=float(w[k].sum()),
+                message=self.messages[i],
+            )
+            for k, (i, g) in enumerate(zip(idx, params))
+        ]
+
+
+def _solve(data, emp_depths, ds, starts, cfg: EstimatorConfig) -> _Stack:
+    """Iterate reweighting steps from every start at once.
+
+    ``data`` (D, n, p) and ``emp_depths`` (D, n) hold the datasets,
+    ``ds`` (S,) the dataset of each problem and ``starts`` its (mu,
+    sigma, chol) as ``_starts`` stacks them.  A problem leaves the
+    stack when it converges, a step fails (it keeps the parameters
+    before that step) or it has taken ``cfg.max_iter`` steps.  The
+    problems are solved in chunks of at most _ROWS data rows.
+    """
+    mu, sigma, chol = (a.copy() for a in starts)
+    S = len(ds)
+    iterations = np.zeros(S, dtype=np.int64)
+    converged = np.zeros(S, dtype=bool)
+    messages = [None] * S
+    chunk = max(1, _ROWS // data.shape[1])
+    for lo in range(0, S, chunk):
+        active = np.arange(lo, min(lo + chunk, S))
+        for _ in range(cfg.max_iter):
+            if not active.size:
+                break
+            step = irwls_step(
+                data[ds[active]], mu[active], chol[active], emp_depths[ds[active]], cfg
+            )
+            ok = np.ones(active.size, dtype=bool)
+            for k, reason in step.failures.items():
+                messages[active[k]] = reason
+                ok[k] = False
+            idx = active[ok]
+            done = _converged(mu[idx], sigma[idx], step.mu[ok], step.sigma[ok], cfg.tol)
+            iterations[idx] += 1
+            mu[idx], sigma[idx], chol[idx] = step.mu[ok], step.sigma[ok], step.chol[ok]
+            converged[idx[done]] = True
+            active = idx[~done]
+        for i in active:
+            messages[i] = _MAX_ITER_MESSAGE
+    return _Stack(data, emp_depths, ds, cfg, mu, sigma, chol, iterations, converged,
+                  messages)
 
 
 def fit(
@@ -236,82 +392,48 @@ def fit(
     start only, yielding a non-converged result with the reason.
     """
     data = _as_matrix(data)
-    if init.p != data.shape[1]:
-        raise ValueError(
-            f"start has dimension {init.p} but the data have dimension {data.shape[1]}"
-        )
+    starts = _starts([init], data.shape[1])
     if emp_depths is None:
         emp_depths = empirical_depths_all(data, cfg.depth_method)
-
-    params = init
-    iterations = 0
-    converged = False
-    message = None
-    for _ in range(cfg.max_iter):
-        try:
-            new_params, w, tau = irwls_step(data, params, emp_depths, cfg)
-        except StepFailure as exc:
-            message = str(exc)
-            break
-        iterations += 1
-        done = _converged(params, new_params, cfg.tol)
-        params = new_params
-        if done:
-            converged = True
-            break
-    else:
-        message = "maximum iterations reached without convergence"
-
-    # Report weights and residuals evaluated at the returned parameters.
-    tau, w = _residuals_weights(data, params, emp_depths, cfg)
-    return FitResult(
-        params=params,
-        weights=w,
-        residuals=tau,
-        iterations=iterations,
-        converged=converged,
-        sum_weights=float(w.sum()),
-        message=message,
-    )
+    stack = _solve(data[None], emp_depths[None], np.zeros(1, dtype=np.intp), starts, cfg)
+    return stack.results([0], [stack.params(0)])[0]
 
 
 def _symmetrized_kl(a: GaussianParams, b: GaussianParams) -> float:
     return kl_gaussian(a, b) + kl_gaussian(b, a)
 
 
-def find_roots(
-    data,
-    cfg: EstimatorConfig,
-    inits,
-    emp_depths: np.ndarray | None = None,
-) -> RootSet:
-    """Run ``fit`` from every start, deduplicate and rank the roots.
+def _root_sets(data, emp_depths, starts, cfg: EstimatorConfig) -> list:
+    """``find_roots`` on D datasets of equal size, one stacked solve
+    over the starts of all of them.
 
-    Starts are processed in input order, so the result is
-    deterministic.  Converged results closer than DEDUP_KL in
-    symmetrized KL collapse to the first representative.
-    ``emp_depths``, as in ``fit``, shares the depths a caller already
-    computed (e.g. for a depth start).
+    ``data`` is (D, n, p), ``emp_depths`` (D, n) and ``starts`` one
+    ``_starts`` triple per dataset; returns one RootSet per dataset.
     """
-    inits = list(inits)
-    if not inits:
-        raise ValueError("at least one starting value is required")
-    data = _as_matrix(data)
-    if emp_depths is None:
-        emp_depths = empirical_depths_all(data, cfg.depth_method)
-    results = [fit(data, cfg, init, emp_depths=emp_depths) for init in inits]
+    if not starts:
+        return []
+    counts = [len(s[0]) for s in starts]
+    ds = np.repeat(np.arange(len(counts)), counts)
+    stack = _solve(data, emp_depths, ds, [np.concatenate(a) for a in zip(*starts)], cfg)
+    bounds = np.cumsum([0] + counts).tolist()
+    return [_root_set(stack, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
-    roots: list[FitResult] = []
-    failures: list[str] = []
-    for res in results:
-        if not res.converged:
-            failures.append(res.message or "did not converge")
+
+def _root_set(stack: _Stack, lo: int, hi: int) -> RootSet:
+    """Deduplicate and rank the converged problems lo..hi-1, the starts
+    of one dataset."""
+    kept: list = []
+    params: list = []
+    failures: list = []
+    for i in range(lo, hi):
+        if not stack.converged[i]:
+            failures.append(stack.messages[i])
             continue
-        for seen in roots:
-            if _symmetrized_kl(res.params, seen.params) < DEDUP_KL:
-                break
-        else:
-            roots.append(res)
+        g = stack.params(i)
+        if not any(_symmetrized_kl(g, seen) < DEDUP_KL for seen in params):
+            kept.append(i)
+            params.append(g)
+    roots = stack.results(kept, params) if kept else []
 
     selected = None
     if roots:
@@ -321,9 +443,32 @@ def find_roots(
         )
 
     diagnostics = {
-        "n_starts": len(inits),
-        "n_converged": sum(r.converged for r in results),
+        "n_starts": hi - lo,
+        "n_converged": int(stack.converged[lo:hi].sum()),
         "n_failed": len(failures),
         "failure_reasons": failures,
     }
     return RootSet(roots=tuple(roots), selected=selected, diagnostics=diagnostics)
+
+
+def find_roots(
+    data,
+    cfg: EstimatorConfig,
+    inits,
+    emp_depths: np.ndarray | None = None,
+) -> RootSet:
+    """Run the reweighting from every start, deduplicate and rank the
+    roots.
+
+    Every start is iterated as ``fit`` would, all of them at once.
+    Converged results are compared in input order, so the result is
+    deterministic, and results closer than DEDUP_KL in symmetrized KL
+    collapse to the first representative.  ``emp_depths``, as in
+    ``fit``, shares the depths a caller already computed (e.g. for a
+    depth start).
+    """
+    data = _as_matrix(data)
+    starts = _starts(list(inits), data.shape[1])
+    if emp_depths is None:
+        emp_depths = empirical_depths_all(data, cfg.depth_method)
+    return _root_sets(data[None], emp_depths[None], [starts], cfg)[0]

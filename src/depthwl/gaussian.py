@@ -127,18 +127,47 @@ def mahalanobis_sq(x, params: GaussianParams):
     return float(d2[0]) if single else d2
 
 
-def weighted_location_scatter(data: np.ndarray, w: np.ndarray, denom: float):
+def _stacked_mahalanobis_sq(x: np.ndarray, mu: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of S problems at once.
+
+    ``x`` is (S, n, p), ``mu`` (S, p) and ``chol`` (S, p, p) lower
+    Cholesky factors; the result is (S, n).  The whitened offsets come
+    from forward substitution over the p columns, each column one
+    elementwise pass over the stack, so a problem's distances do not
+    depend on what else is in the stack.  Overflow and NaN propagate
+    silently, as they do through LAPACK's triangular solve.
+    """
+    diff = x - mu[:, None, :]
+    z = []
+    d2 = np.zeros(diff.shape[:2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(diff.shape[2]):
+            zj = diff[:, :, j]
+            for k in range(j):
+                zj = zj - chol[:, j, k, None] * z[k]
+            zj = zj / chol[:, j, j, None]
+            z.append(zj)
+            d2 += zj * zj
+    return d2
+
+
+def weighted_location_scatter(data: np.ndarray, w: np.ndarray, denom):
     """Weighted mean and (mean-centered) weighted scatter sum / denom.
 
-    Shared by the maximum likelihood fit (unit weights, denom = n) and
-    the reweighting iteration so that the unit-weight fixed point is
+    ``data`` is an (n, p) matrix with (n,) weights and a scalar
+    ``denom``, or an (S, n, p) stack with (S, n) weights and a scalar
+    or (S,) ``denom``.  Both use one per-item matrix product, so a
+    stacked item is bit for bit its own 2-D call.  Shared by the
+    maximum likelihood fit (unit weights, denom = n) and the
+    reweighting iteration so that the unit-weight fixed point is
     bit-for-bit the MLE.
     """
-    sw = float(w.sum())
-    mu = (data.T @ w) / sw
-    centered = data - mu
-    sigma = (centered.T * w) @ centered / denom
-    sigma = 0.5 * (sigma + sigma.T)
+    sw = w.sum(axis=-1)
+    mu = np.matmul(w[..., None, :], data)[..., 0, :] / sw[..., None]
+    centered = data - mu[..., None, :]
+    sigma = np.matmul(centered.swapaxes(-1, -2) * w[..., None, :], centered)
+    sigma = sigma / np.asarray(denom)[..., None, None]
+    sigma = 0.5 * (sigma + sigma.swapaxes(-1, -2))
     return mu, sigma
 
 

@@ -13,7 +13,6 @@ median of the residuals by more than ``xi``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +170,8 @@ def apply_trim(tau, w, xi: float):
     The median of an even-length vector is the midpoint of the two
     central order statistics.  Entries at or below the threshold are
     returned unchanged, so at least half the weights always survive.
+    A 2-D ``tau`` (with ``w`` of its shape) is trimmed row by row, each
+    row against its own median, every row bit for bit its 1-D call.
     """
     tau = np.asarray(tau, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -183,13 +184,12 @@ def apply_trim(tau, w, xi: float):
     # np.median's rule, bit for bit, from one partition: the middle order
     # statistic or the midpoint of the two middle ones, NaN if any entry
     # is NaN (a partition puts NaNs last).
-    n = tau.size
+    n = tau.shape[-1]
     half = n // 2
-    part = np.partition(tau, (half, -1) if n % 2 else (half - 1, half, -1), axis=None)
-    median = part[half] if n % 2 else 0.5 * (part[half - 1] + part[half])
-    if math.isnan(part[-1]):
-        median = part[-1]
-    return np.where(tau <= median + xi, w, 0.0)
+    part = np.partition(tau, (half, -1) if n % 2 else (half - 1, half, -1), axis=-1)
+    median = part[..., half] if n % 2 else 0.5 * (part[..., half - 1] + part[..., half])
+    median = np.where(np.isnan(part[..., -1]), part[..., -1], median)
+    return np.where(tau <= median[..., None] + xi, w, 0.0)
 
 
 @dataclass(frozen=True)

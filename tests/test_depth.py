@@ -16,6 +16,7 @@ from depthwl import (
     population_depth_gaussian,
     resolve_depth_method,
 )
+from depthwl import depth
 
 
 def brute_force_depth_2d(query, data):
@@ -131,6 +132,35 @@ class TestPopulationDepth:
         xs = np.array([[r, 0.0, 0.0] for r in np.linspace(0, 5, 50)])
         d = population_depth_gaussian(xs, gp)
         assert np.all(np.diff(d) < 0)
+
+    def test_erfc_form_against_mpmath(self):
+        # 40-digit reference over d2 in [0, 1400], where the depth is
+        # still a normal double (~1e-306 at 1400)
+        mpmath = pytest.importorskip("mpmath")
+        from scipy import special
+
+        d2 = np.concatenate([np.linspace(0.0, 60.0, 2000), np.linspace(60.0, 1400.0, 1951)[1:]])
+        with mpmath.workdps(40):
+            exact = np.array(
+                [float(mpmath.erfc(mpmath.sqrt(mpmath.mpf(v) / 2)) / 2) for v in d2]
+            )
+        err = np.abs(depth._model_depth(d2) - exact) / exact
+        err_gammaincc = np.abs(0.5 * special.gammaincc(0.5, 0.5 * d2) - exact) / exact
+        # every fitted point with any weight sits at d2 < 60: there erfc
+        # is the more accurate (4e-15 against 3e-14)
+        core = d2 < 60.0
+        assert err[core].max() <= err_gammaincc[core].max()
+        # beyond, a half-ulp change of d2 moves the depth by up to
+        # d2 * 2**-53 relative; both stay near that bound, erfc within
+        # 2 (1 + d2) ulp pointwise and 1.2e-13 at most (gammaincc 1.1e-13)
+        eps = np.finfo(np.float64).eps
+        assert np.all(err <= 2.0 * (1.0 + d2) * eps)
+        assert (err / ((1.0 + d2) * eps)).max() <= (err_gammaincc / ((1.0 + d2) * eps)).max()
+        assert err.max() < 1.2e-13
+        # exactly one half at the centre, and the floor past underflow
+        assert depth._model_depth(np.array(0.0)) == 0.5
+        beyond = np.array([1420.0, 1500.0, 3000.0, 1e300, np.inf])
+        assert np.all(depth._model_depth(beyond) == depth._DEPTH_FLOOR)
 
     def test_far_point_positive(self):
         gp = GaussianParams.standard(2)

@@ -10,7 +10,6 @@ from depthwl import (
     DprConfig,
     EstimatorConfig,
     GaussianParams,
-    StepFailure,
     WeightSpec,
     empirical_depths_all,
     find_roots,
@@ -32,20 +31,31 @@ def contaminated_sample(rng, n_clean=40, n_out=10, center=(10.0, 10.0)):
     return np.vstack([clean, outliers])
 
 
+def step_from(data, starts, depths, cfg):
+    """``irwls_step`` of one stack: the starts on the same data."""
+    return irwls_step(
+        np.broadcast_to(data, (len(starts),) + data.shape),
+        np.array([g.mu for g in starts]),
+        np.array([g.chol for g in starts]),
+        np.broadcast_to(depths, (len(starts),) + depths.shape),
+        cfg,
+    )
+
+
 class TestIrwlsStep:
     def test_unit_weights_one_step_is_mle(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((30, 2))
         depths = empirical_depths_all(data, DepthMethod.exact())
-        for start in (
-            GaussianParams.standard(2),
-            GaussianParams([5.0, -7.0], 9.0 * np.eye(2)),
-        ):
-            params, w, tau = irwls_step(data, start, depths, UNIT_WEIGHTS)
-            mle = mle_fit(data)
-            assert np.array_equal(params.mu, mle.mu)
-            assert np.array_equal(params.sigma, mle.sigma)
-            assert np.all(w == 1.0)
+        starts = [GaussianParams.standard(2), GaussianParams([5.0, -7.0], 9.0 * np.eye(2))]
+        step = step_from(data, starts, depths, UNIT_WEIGHTS)
+        mle = mle_fit(data)
+        assert step.failures == {}
+        for i in range(len(starts)):
+            assert np.array_equal(step.mu[i], mle.mu)
+            assert np.array_equal(step.sigma[i], mle.sigma)
+            assert np.array_equal(step.chol[i], mle.chol)
+        assert np.all(step.weights == 1.0)
 
     def test_small_displacement_at_truth(self):
         rng = np.random.default_rng(2)
@@ -53,31 +63,37 @@ class TestIrwlsStep:
         truth = GaussianParams.standard(2)
         cfg = EstimatorConfig()
         depths = empirical_depths_all(data, DepthMethod.exact())
-        params, w, tau = irwls_step(data, truth, depths, cfg)
-        assert np.max(np.abs(tau)) < 0.5
-        assert np.mean(w) > 0.95
-        assert np.max(np.abs(params.mu - truth.mu)) < 0.05
-        assert np.max(np.abs(params.sigma - truth.sigma)) < 0.05
+        step = step_from(data, [truth], depths, cfg)
+        assert step.failures == {}
+        assert np.max(np.abs(step.residuals)) < 0.5
+        assert np.mean(step.weights) > 0.95
+        assert np.max(np.abs(step.mu[0] - truth.mu)) < 0.05
+        assert np.max(np.abs(step.sigma[0] - truth.sigma)) < 0.05
 
     def test_outliers_zeroed_by_trim(self):
         rng = np.random.default_rng(3)
         data = contaminated_sample(rng)
         cfg = EstimatorConfig()
         depths = empirical_depths_all(data, DepthMethod.exact())
-        params, w, tau = irwls_step(data, GaussianParams.standard(2), depths, cfg)
+        w = step_from(data, [GaussianParams.standard(2)], depths, cfg).weights[0]
         assert np.all(w[40:] == 0.0)
         # trimming may clip the odd clean point whose empirical depth
         # runs ahead of its model depth, but never many
         assert np.count_nonzero(w[:40]) >= 38
 
     def test_effective_sample_failure(self):
-        # a start far from the data trims all but 1.38 of weight, below p + 1
+        # a start far from the data trims all but 1.38 of weight, below
+        # p + 1; the start beside it in the stack is unaffected
         rng = np.random.default_rng(4)
         data = rng.standard_normal((10, 2))
         depths = empirical_depths_all(data, DepthMethod.exact())
         far = GaussianParams([1e3, 1e3], np.eye(2))
-        with pytest.raises(StepFailure, match="1.38 below minimum 3"):
-            irwls_step(data, far, depths, EstimatorConfig())
+        near = GaussianParams.standard(2)
+        step = step_from(data, [far, near], depths, EstimatorConfig())
+        assert step.failures == {0: "effective sample size 1.38 below minimum 3"}
+        alone = step_from(data, [near], depths, EstimatorConfig())
+        assert np.array_equal(step.mu[1], alone.mu[0])
+        assert np.array_equal(step.sigma[1], alone.sigma[0])
 
 
 class TestFit:
@@ -124,9 +140,10 @@ class TestFit:
         res = fit(data, cfg, GaussianParams.standard(2))
         assert res.converged
         depths = empirical_depths_all(data, DepthMethod.exact())
-        again, _, _ = irwls_step(data, res.params, depths, cfg)
-        assert np.max(np.abs(again.mu - res.params.mu)) < 10 * cfg.tol
-        assert np.max(np.abs(again.sigma - res.params.sigma)) < 10 * cfg.tol
+        again = step_from(data, [res.params], depths, cfg)
+        assert again.failures == {}
+        assert np.max(np.abs(again.mu[0] - res.params.mu)) < 10 * cfg.tol
+        assert np.max(np.abs(again.sigma[0] - res.params.sigma)) < 10 * cfg.tol
 
     def test_result_weights_match_returned_params(self):
         rng = np.random.default_rng(9)

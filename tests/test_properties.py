@@ -1,7 +1,8 @@
 """Property-based invariants: exact 2-D depth against an integer brute
 force and the scalar sweep, projection depth against the per-direction
 loop and against exact depth, the residual lower bound, trimming and
-its median against ``np.median``, the cached log-determinant, and the
+its median against ``np.median``, row-wise trimming against the 1-D
+call, the cached log-determinant, and the
 rejection of non-finite samples at every entry point that takes one."""
 
 import numpy as np
@@ -190,15 +191,12 @@ def test_trimming_keeps_at_least_half(tau, xi):
 # Residual vectors: n odd and even from 1 up, integer ties, a wide range
 # of magnitudes (sums of two stay finite) and +inf; the estimator's
 # residuals are at least -1, so -inf never occurs.
-RESIDUALS = hnp.arrays(
-    np.float64,
-    st.integers(1, 80),
-    elements=st.one_of(
-        st.integers(-2, 2).map(float),
-        st.floats(-1.0, 1e300),
-        st.just(np.inf),
-    ),
+RESIDUAL_ELEMENTS = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.floats(-1.0, 1e300),
+    st.just(np.inf),
 )
+RESIDUALS = hnp.arrays(np.float64, st.integers(1, 80), elements=RESIDUAL_ELEMENTS)
 
 
 @PROPERTY
@@ -211,6 +209,23 @@ def test_trim_median_is_np_median(tau, xi):
     w = np.linspace(0.25, 1.0, tau.size)
     want = np.where(tau <= np.median(tau) + xi, w, 0.0)
     assert apply_trim(tau, w, xi).tobytes() == want.tobytes()
+
+
+@settings(PROPERTY, max_examples=50)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 80)),
+        elements=RESIDUAL_ELEMENTS,
+    ),
+    st.one_of(st.floats(0.0, 1e300, exclude_min=True), st.just(np.inf)),
+)
+@example(np.array([[0.0, np.nan, 1.0], [2.0, 0.0, 2.0]]), 1.0)
+def test_row_wise_trim_is_1d_trim(tau, xi):
+    w = np.linspace(0.25, 1.0, tau.size).reshape(tau.shape)
+    got = apply_trim(tau, w, xi)
+    for i in range(tau.shape[0]):
+        assert got[i].tobytes() == apply_trim(tau[i], w[i], xi).tobytes()
 
 
 @PROPERTY

@@ -1,0 +1,305 @@
+"""The stacked reweighting solver: against the serial loop it replaced,
+and independent of what else is in its stack.
+
+``reference_step`` and ``reference_fit`` are the serial step and fit
+loop the solver replaced, kept here as the slow reference: one start at
+a time, model depth through ``population_depth_gaussian`` (LAPACK
+triangular solve rather than the solver's forward substitution) and a
+``GaussianParams`` with its Cholesky re-check on every iterate.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from depthwl import (
+    DEDUP_KL,
+    ContaminationSpec,
+    DepthMethod,
+    EstimatorConfig,
+    GaussianParams,
+    GridConfig,
+    InitSpec,
+    WeightSpec,
+    apply_trim,
+    dpr,
+    empirical_depths_all,
+    find_roots,
+    fit,
+    generate_dataset,
+    kl_gaussian,
+    population_depth_gaussian,
+    run_grid,
+    subsample_inits,
+    weight,
+)
+from depthwl import estimator, simulation
+from depthwl.gaussian import weighted_location_scatter
+
+
+class ReferenceStepFailure(RuntimeError):
+    pass
+
+
+def reference_residuals_weights(data, params, emp_depths, cfg):
+    tau = dpr(emp_depths, population_depth_gaussian(data, params), cfg.dpr)
+    return tau, apply_trim(tau, weight(tau, cfg.weights), cfg.weights.trim_xi)
+
+
+def reference_step(data, params, emp_depths, cfg):
+    n = data.shape[0]
+    min_eff = params.p + 1
+    _, w = reference_residuals_weights(data, params, emp_depths, cfg)
+    sum_w = float(w.sum())
+    if sum_w < min_eff:
+        raise ReferenceStepFailure(
+            f"effective sample size {sum_w:.3g} below minimum {min_eff:.3g}"
+        )
+    denom = float(n) if cfg.scatter_norm == "literal-1-over-n" else sum_w
+    mu, sigma = weighted_location_scatter(data, w, denom)
+    try:
+        return GaussianParams(mu, sigma)
+    except ValueError:
+        raise ReferenceStepFailure("updated scatter matrix is singular") from None
+
+
+def reference_converged(old, new, tol):
+    dmu = float(np.abs(new.mu - old.mu).max()) / (1.0 + float(np.abs(new.mu).max()))
+    dsig = float(np.abs(new.sigma - old.sigma).max()) / (
+        1.0 + float(np.abs(new.sigma).max())
+    )
+    return max(dmu, dsig) < tol
+
+
+def reference_fit(data, cfg, init, emp_depths):
+    """(params, iterations, converged, message, sum of weights)."""
+    params, iterations, converged, message = init, 0, False, None
+    for _ in range(cfg.max_iter):
+        try:
+            new = reference_step(data, params, emp_depths, cfg)
+        except ReferenceStepFailure as exc:
+            message = str(exc)
+            break
+        iterations += 1
+        done = reference_converged(params, new, cfg.tol)
+        params = new
+        if done:
+            converged = True
+            break
+    else:
+        message = "maximum iterations reached without convergence"
+    _, w = reference_residuals_weights(data, params, emp_depths, cfg)
+    return params, iterations, converged, message, float(w.sum())
+
+
+def reference_roots(fits):
+    """Deduplicated converged fits and the selected index, as find_roots
+    ranks them."""
+    roots = []
+    for f in fits:
+        if f[2] and not any(
+            kl_gaussian(f[0], r[0]) + kl_gaussian(r[0], f[0]) < DEDUP_KL for r in roots
+        ):
+            roots.append(f)
+    selected = min(
+        range(len(roots)), key=lambda i: (-roots[i][4], roots[i][0].log_det, i),
+        default=None,
+    )
+    return roots, selected
+
+
+def close(a, b, rel=1e-10):
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+def assert_matches_reference(datasets, cfg, inits_of):
+    """The solver over the starts of all ``datasets`` at once against
+    the reference loop on each start alone: the same iterations,
+    convergence and message per start, converged parameters within
+    1e-10, and the same roots and selection per dataset."""
+    p = datasets[0].shape[1]
+    emps = [empirical_depths_all(d, cfg.depth_method) for d in datasets]
+    inits = [inits_of(d, k) for k, d in enumerate(datasets)]
+    starts = [estimator._starts(i, p) for i in inits]
+    ds = np.repeat(np.arange(len(datasets)), [len(i) for i in inits])
+    stack = estimator._solve(
+        np.array(datasets), np.array(emps), ds,
+        [np.concatenate(a) for a in zip(*starts)], cfg,
+    )
+    root_sets = estimator._root_sets(np.array(datasets), np.array(emps), starts, cfg)
+    i = 0
+    for data, emp, dataset_inits, roots in zip(datasets, emps, inits, root_sets):
+        fits = [reference_fit(data, cfg, g, emp) for g in dataset_inits]
+        for params, iterations, converged, message, _ in fits:
+            assert stack.iterations[i] == iterations
+            assert stack.converged[i] == converged
+            assert stack.messages[i] == message
+            if converged:
+                # (a start still moving after max_iter steps amplifies
+                # rounding differences without bound)
+                assert close(stack.mu[i], params.mu)
+                assert close(stack.sigma[i], params.sigma)
+            i += 1
+        want, selected = reference_roots(fits)
+        assert len(roots.roots) == len(want)
+        assert roots.selected == selected
+        for got, ref in zip(roots.roots, want):
+            assert close(got.params.mu, ref[0].mu)
+            assert close(got.params.sigma, ref[0].sigma)
+            assert got.sum_weights == pytest.approx(ref[4], rel=1e-10)
+    return stack
+
+
+def two_cluster_fixture():
+    rng = np.random.default_rng(0)
+    return np.vstack([rng.standard_normal((30, 2)), 6.0 + rng.standard_normal((20, 2))])
+
+
+class TestAgainstSerialReference:
+    def test_two_cluster_fixture(self):
+        data = two_cluster_fixture()
+        stack = assert_matches_reference(
+            [data], EstimatorConfig(), lambda d, k: subsample_inits(d, 500, 0)
+        )
+        assert stack.converged.sum() > 400
+
+    @pytest.mark.parametrize("eps", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("mu_c", [5.0, 10.0])
+    def test_contaminated_grid_cell_subsample_starts(self, eps, mu_c):
+        # p = 2, s = 5: n = 25; three replications stacked, as in a cell
+        datasets = [
+            generate_dataset(25, 2, ContaminationSpec(eps, mu_c), [3, k])[0]
+            for k in range(3)
+        ]
+        assert_matches_reference(
+            datasets, EstimatorConfig(), lambda d, k: subsample_inits(d, 40, [7, k])
+        )
+
+    @pytest.mark.parametrize(
+        "cfg, p",
+        [
+            (EstimatorConfig(weights=WeightSpec.smooth_exp(0.5)), 2),
+            (EstimatorConfig(scatter_norm="sum-of-weights"), 2),
+            (EstimatorConfig(depth_method=DepthMethod.projection(300, seed=1)), 3),
+        ],
+        ids=["smooth_exp", "sum-of-weights", "p3-projection"],
+    )
+    def test_other_configurations(self, cfg, p):
+        rng = np.random.default_rng(p)
+        data = np.vstack([rng.standard_normal((45, p)), 5.0 + rng.standard_normal((15, p))])
+        assert_matches_reference([data], cfg, lambda d, k: subsample_inits(d, 60, 1))
+
+
+def assert_results_equal(a, b):
+    """Two FitResults equal bit for bit."""
+    assert a.params.mu.tobytes() == b.params.mu.tobytes()
+    assert a.params.sigma.tobytes() == b.params.sigma.tobytes()
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert a.residuals.tobytes() == b.residuals.tobytes()
+    assert (a.iterations, a.converged, a.message) == (b.iterations, b.converged, b.message)
+    assert a.sum_weights.hex() == b.sum_weights.hex()
+
+
+def assert_stack_invariant(data, cfg, inits):
+    """find_roots over all starts against fit on each start alone."""
+    alone = [fit(data, cfg, g) for g in inits]
+    roots = find_roots(data, cfg, inits)
+    kept = []
+    for res in alone:
+        if res.converged and not any(
+            kl_gaussian(res.params, r.params) + kl_gaussian(r.params, res.params) < DEDUP_KL
+            for r in kept
+        ):
+            kept.append(res)
+    assert len(roots.roots) == len(kept)
+    for got, want in zip(roots.roots, kept):
+        assert_results_equal(got, want)
+    assert roots.diagnostics["failure_reasons"] == [
+        r.message for r in alone if not r.converged
+    ]
+    assert roots.diagnostics["n_converged"] == sum(r.converged for r in alone)
+    return roots
+
+
+def tied_sample(seed):
+    """Small-integer data: ties make some starts fail either step check."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(-2, 3, (15, 2)).astype(np.float64)
+
+
+def tied_starts(data, seed):
+    p = data.shape[1]
+    far = GaussianParams(np.full(p, 1e3), np.eye(p))
+    return subsample_inits(data, 20, seed) + [far]
+
+
+class TestStackInvariance:
+    def test_every_stop_reason_in_one_stack(self):
+        # both failure messages and the iteration limit in one stack
+        data = tied_sample(5)
+        roots = assert_stack_invariant(
+            data, EstimatorConfig(max_iter=3), tied_starts(data, 5)
+        )
+        reasons = {m.split(" ")[0] for m in roots.diagnostics["failure_reasons"]}
+        assert reasons == {"effective", "updated", "maximum"}
+        assert roots.roots
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(10, 16), st.integers(1, 2)),
+            elements=st.integers(-2, 2).map(float),
+        ),
+        st.integers(0, 2**16),
+        st.sampled_from([3, 500]),
+    )
+    def test_find_roots_equals_fit_per_start(self, data, seed, max_iter):
+        try:
+            inits = tied_starts(data, seed)
+        except ValueError:  # too degenerate to draw elemental starts
+            return
+        assert_stack_invariant(data, EstimatorConfig(max_iter=max_iter), inits)
+
+    @pytest.mark.parametrize("rows", [1, 30, 100])
+    def test_chunked_stack_equals_whole(self, monkeypatch, rows):
+        # rows < n puts one problem in each chunk
+        data = two_cluster_fixture()
+        inits = subsample_inits(data, 60, 4)
+        whole = find_roots(data, EstimatorConfig(), inits)
+        monkeypatch.setattr(estimator, "_ROWS", rows)
+        chunked = find_roots(data, EstimatorConfig(), inits)
+        assert chunked.diagnostics == whole.diagnostics
+        assert len(chunked.roots) == len(whole.roots)
+        for a, b in zip(chunked.roots, whole.roots):
+            assert_results_equal(a, b)
+
+    def test_grid_replication_equals_find_roots(self, monkeypatch):
+        # every replication of a cell, solved in the cell's one stack,
+        # gives find_roots on that replication alone
+        checked = []
+
+        def spy(data, emp_depths, starts, cfg):
+            root_sets = estimator._root_sets(data, emp_depths, starts, cfg)
+            for d, e, (mu, sigma, _), roots in zip(data, emp_depths, starts, root_sets):
+                inits = [GaussianParams(m, s) for m, s in zip(mu, sigma)]
+                alone = find_roots(d, cfg, inits, e)
+                assert roots.selected == alone.selected
+                assert roots.diagnostics == alone.diagnostics
+                assert len(roots.roots) == len(alone.roots)
+                for a, b in zip(roots.roots, alone.roots):
+                    assert_results_equal(a, b)
+                checked.append(len(inits))
+            return root_sets
+
+        monkeypatch.setattr(simulation, "_root_sets", spy)
+        cfg = GridConfig(
+            dims=(1, 2), size_factors=(5,), epsilons=(0.2,), mu_cs=(5.0,),
+            sigma_cs=(1.0,), reps=4, seed=11,
+            init=InitSpec("subsample", b=25, seed=2),
+        )
+        report = run_grid(cfg)
+        assert checked == [25] * 8
+        assert all(c.failures == 0 for c in report.cells)
