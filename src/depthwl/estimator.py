@@ -42,8 +42,10 @@ import numpy as np
 from .depth import DepthMethod, _model_depth, empirical_depths_all
 # Not called here: perfbench's tracer patches model depth at this name.
 from .depth import population_depth_gaussian  # noqa: F401
-from .gaussian import GaussianParams, _as_matrix, _stacked_mahalanobis_sq, kl_gaussian
-from .gaussian import weighted_location_scatter
+from .gaussian import GaussianParams, _as_matrix, _log_det, _stacked_kl
+from .gaussian import _stacked_mahalanobis_sq, weighted_location_scatter
+# Not called here: perfbench's tracer patches the KL divergence at this name.
+from .gaussian import kl_gaussian  # noqa: F401
 from .residuals import DprConfig, WeightSpec, apply_trim, dpr, weight
 from .residuals import weight_config_from_dict, weight_config_to_dict
 
@@ -399,8 +401,25 @@ def fit(
     return stack.results([0], [stack.params(0)])[0]
 
 
-def _symmetrized_kl(a: GaussianParams, b: GaussianParams) -> float:
-    return kl_gaussian(a, b) + kl_gaussian(b, a)
+def _distinct(mu: np.ndarray, chol: np.ndarray) -> list:
+    """Positions of the distinct roots among the (S, p) locations ``mu``
+    with lower Cholesky factors ``chol`` (S, p, p), in order.
+
+    Each root is compared with every root kept so far in one stacked
+    symmetrized KL, ``kl_gaussian`` both ways, and kept unless one is
+    closer than DEDUP_KL: results collapse to their first
+    representative.
+    """
+    log_det = _log_det(chol)
+    kept: list = []
+    for i in range(len(mu)):
+        if kept:
+            new = mu[i:i + 1], chol[i:i + 1], log_det[i:i + 1]
+            seen = mu[kept], chol[kept], log_det[kept]
+            if (_stacked_kl(*new, *seen) + _stacked_kl(*seen, *new) < DEDUP_KL).any():
+                continue
+        kept.append(i)
+    return kept
 
 
 def _root_sets(data, emp_depths, starts, cfg: EstimatorConfig) -> list:
@@ -422,18 +441,10 @@ def _root_sets(data, emp_depths, starts, cfg: EstimatorConfig) -> list:
 def _root_set(stack: _Stack, lo: int, hi: int) -> RootSet:
     """Deduplicate and rank the converged problems lo..hi-1, the starts
     of one dataset."""
-    kept: list = []
-    params: list = []
-    failures: list = []
-    for i in range(lo, hi):
-        if not stack.converged[i]:
-            failures.append(stack.messages[i])
-            continue
-        g = stack.params(i)
-        if not any(_symmetrized_kl(g, seen) < DEDUP_KL for seen in params):
-            kept.append(i)
-            params.append(g)
-    roots = stack.results(kept, params) if kept else []
+    failures = [stack.messages[i] for i in range(lo, hi) if not stack.converged[i]]
+    conv = lo + np.flatnonzero(stack.converged[lo:hi])
+    kept = conv[_distinct(stack.mu[conv], stack.chol[conv])].tolist()
+    roots = stack.results(kept, [stack.params(i) for i in kept]) if kept else []
 
     selected = None
     if roots:

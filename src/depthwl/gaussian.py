@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = [
     "GaussianParams",
@@ -56,7 +55,7 @@ class GaussianParams:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_log_det", 2.0 * float(np.log(np.diag(chol)).sum()))
+        object.__setattr__(self, "_log_det", float(_log_det(chol)))
 
     @property
     def p(self) -> int:
@@ -99,43 +98,36 @@ def _as_matrix(data) -> np.ndarray:
     return data
 
 
-def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``chol^{-1} b`` for a lower-triangular ``chol``.
-
-    LAPACK's ``dtrtrs`` called directly, as the transposed solve with
-    the upper factor ``chol.T`` (a free view of the C-ordered factor):
-    the same result as ``scipy.linalg.solve_triangular(chol, b,
-    lower=True)`` bit for bit, without that wrapper's per-call input
-    checks, which cost several times the solve on p x p and n = 50
-    arrays.
-    """
-    return lapack.dtrtrs(chol.T, b, lower=0, trans=1)[0]
+def _log_det(chol: np.ndarray) -> np.ndarray:
+    """Log-determinants of the scatter matrices with lower Cholesky
+    factors ``chol`` (p, p) or (S, p, p): 2 sum(log diag)."""
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def mahalanobis_sq(x, params: GaussianParams):
     """Squared Mahalanobis distance (x - mu)' sigma^{-1} (x - mu).
 
-    Computed through a triangular solve against the Cholesky factor.
-    ``x`` may be a single p-vector or an (n, p) matrix; the result is a
-    scalar or a length-n vector accordingly.
+    Computed through a triangular solve against the Cholesky factor, a
+    stack of one of ``_stacked_mahalanobis_sq``.  ``x`` may be a single
+    p-vector or an (n, p) matrix; the result is a scalar or a length-n
+    vector accordingly.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim < 2
-    diff = (np.atleast_2d(x) - params.mu).T
-    y = _solve_lower(params.chol, diff)
-    d2 = np.einsum("ij,ij->j", y, y)
-    return float(d2[0]) if single else d2
+    d2 = _stacked_mahalanobis_sq(np.atleast_2d(x)[None], params.mu[None], params.chol[None])
+    return float(d2[0, 0]) if single else d2[0]
 
 
 def _stacked_mahalanobis_sq(x: np.ndarray, mu: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distances of S problems at once.
 
     ``x`` is (S, n, p), ``mu`` (S, p) and ``chol`` (S, p, p) lower
-    Cholesky factors; the result is (S, n).  The whitened offsets come
-    from forward substitution over the p columns, each column one
+    Cholesky factors; the result is (S, n).  Any of the three may be a
+    stack of one, broadcast against the others.  The whitened offsets
+    come from forward substitution over the p columns, each column one
     elementwise pass over the stack, so a problem's distances do not
     depend on what else is in the stack.  Overflow and NaN propagate
-    silently, as they do through LAPACK's triangular solve.
+    silently.
     """
     diff = x - mu[:, None, :]
     z = []
@@ -195,16 +187,39 @@ def kl_gaussian(p0: GaussianParams, p1: GaussianParams) -> float:
     """KL divergence KL(N(mu0, sigma0) || N(mu1, sigma1)), closed form.
 
     0.5 * (tr(S1^-1 S0) + (mu1-mu0)' S1^-1 (mu1-mu0) - p
-           + log det S1 - log det S0)
+           + log det S1 - log det S0),
+
+    clamped at 0; a stack of one of ``_stacked_kl``.
     """
     if p0.p != p1.p:
         raise ValueError("dimension mismatch")
-    half = _solve_lower(p1.chol, p0.sigma)
-    half = _solve_lower(p1.chol, half.T)
-    trace = float(np.trace(half))
-    quad = mahalanobis_sq(p0.mu, p1)
-    kl = 0.5 * (trace + quad - p0.p + p1.log_det - p0.log_det)
-    return max(kl, 0.0)
+    kl = _stacked_kl(
+        p0.mu[None], p0.chol[None], np.array([p0.log_det]),
+        p1.mu[None], p1.chol[None], np.array([p1.log_det]),
+    )
+    return float(kl[0])
+
+
+def _stacked_kl(mu0, chol0, log_det0, mu1, chol1, log_det1) -> np.ndarray:
+    """KL(N0 || N1) of S pairs at once, as in ``kl_gaussian``.
+
+    Each side is ``mu`` (S, p), the lower Cholesky factors ``chol`` (S,
+    p, p) and the log-determinants ``log_det`` (S,); either side may be
+    a stack of one, broadcast against the other.  One whitening by
+    ``chol1`` gives both the trace, tr(S1^-1 S0) = ||L1^-1 L0||_F^2
+    from the rows of L0', and the quadratic term from mu0 - mu1, so a
+    pair's divergence does not depend on what else is in the stack.
+    """
+    p = mu0.shape[-1]
+    rows = np.empty((max(len(mu0), len(mu1)), p + 1, p))
+    rows[:, :p] = chol0.swapaxes(-1, -2)
+    rows[:, p] = mu0 - mu1
+    d2 = _stacked_mahalanobis_sq(rows, np.zeros((len(rows), p)), chol1)
+    trace = d2[:, 0]
+    for i in range(1, p):
+        trace = trace + d2[:, i]
+    kl = 0.5 * (trace + d2[:, p] - p + log_det1 - log_det0)
+    return np.maximum(kl, 0.0)
 
 
 def log_density(x, params: GaussianParams):

@@ -1,6 +1,9 @@
 """Command-line surface: ingestion, subcommands, exit codes, formats."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,3 +390,16 @@ class TestDeterminism:
         rng = np.random.default_rng(103)
         path = write_csv(tmp_path / "p5.csv", rng.standard_normal((30, 5)))
         assert main(["depth", "--input", path, "--depth-method", "exact"]) == 1
+
+
+class TestImports:
+    def test_no_scipy_on_the_import_path(self):
+        # a fresh interpreter: the CLI's start-up cost includes every import
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import depthwl, depthwl.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 projection bounds, and the closed-form Gaussian depth."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,45 @@ class TestPopulationDepth:
     def test_singular_sigma_rejected(self):
         with pytest.raises(ValueError):
             GaussianParams([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
+
+
+class TestErfcPort:
+    """``depth._erfc``, the numpy port of Cephes erfc, against scipy's."""
+
+    def test_bit_equal_below_one(self):
+        from scipy import special
+
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.linspace(0.0, 1.0, 100_001)[:-1], rng.uniform(0, 1, 100_000),
+                            [np.nextafter(1.0, 0.0), 5e-324, 1e-300]])
+        assert np.array_equal(depth._erfc(x), special.erfc(x))
+
+    def test_close_from_one_to_cutoff(self):
+        # only np.exp against the C library's exp differs here; below
+        # the smallest normal double (x > 26.54) the spacing of the
+        # results is itself coarser than 1e-15, so the error is taken
+        # relative to at least that
+        from scipy import special
+
+        rng = np.random.default_rng(1)
+        x = np.concatenate([np.linspace(1.0, 26.6, 200_001), rng.uniform(1, 26.6, 200_000),
+                            [8.0, np.nextafter(8.0, 0.0)]])
+        want = special.erfc(x)
+        scale = np.maximum(want, np.finfo(np.float64).tiny)
+        assert np.all(np.abs(depth._erfc(x) - want) <= 1e-15 * scale)
+
+    def test_zero_beyond_cutoff(self):
+        cutoff = math.sqrt(depth._MAXLOG)
+        x = np.array([np.nextafter(cutoff, np.inf), 26.7, 27.0, 1e10, 1e150, 1e200, np.inf])
+        assert np.all(depth._erfc(x) == 0.0)
+        assert depth._erfc(np.array(np.nextafter(cutoff, 0.0))) > 0.0
+
+    def test_nan_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = depth._erfc(np.array([np.nan, 0.5, 3.0, 10.0, 1e150, np.inf]))
+            assert np.isnan(depth._erfc(np.array(np.nan)))
+        assert np.isnan(got[0]) and not np.isnan(got[1:]).any()
 
 
 class TestExact1d:

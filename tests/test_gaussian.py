@@ -14,7 +14,6 @@ from depthwl import (
     mahalanobis_sq,
     mle_fit,
 )
-from depthwl.gaussian import _solve_lower
 
 
 def random_spd(rng, p, scale=1.0):
@@ -134,31 +133,73 @@ class TestKl:
             assert abs(kl_gaussian(p0, p1) - mc) <= 3 * se
 
 
+def lapack_kl(p0, p1):
+    """KL(p0 || p1) as the closed form was computed through LAPACK's
+    triangular solve: tr(S1^-1 S0) as the trace of L1^-1 (L1^-1 S0)'."""
+    half = solve_triangular(p1.chol, p0.sigma, lower=True)
+    half = solve_triangular(p1.chol, half.T, lower=True)
+    z = solve_triangular(p1.chol, p0.mu - p1.mu, lower=True)
+    kl = 0.5 * (np.trace(half) + z @ z - p0.p + p1.log_det - p0.log_det)
+    return max(kl, 0.0)
+
+
+class TestForwardSubstitution:
+    """The forward-substitution kernel against scipy's triangular solve."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 50, 300])
+    def test_agrees_with_solve_triangular(self, p, n):
+        rng = np.random.default_rng(100 * p + n)
+        eps = np.finfo(np.float64).eps
+        for scale in (1e-5, 1.0, 1e5):
+            p1 = GaussianParams(rng.standard_normal(p), random_spd(rng, p, scale))
+            x = p1.mu + np.sqrt(scale) * rng.standard_normal((n, p))
+            z = solve_triangular(p1.chol, (x - p1.mu).T, lower=True)
+            want = np.einsum("ij,ij->j", z, z)
+            got = mahalanobis_sq(x, p1)
+            assert np.all(np.abs(got - want) <= 8 * eps * want)
+            p0 = GaussianParams(rng.standard_normal(p), random_spd(rng, p, scale))
+            want_kl = lapack_kl(p0, p1)
+            assert kl_gaussian(p0, p1) == pytest.approx(want_kl, rel=1e-12)
+
+
+def dyadic_lower(rng, p, scale):
+    """A lower Cholesky factor whose solves are exact in float64:
+    power-of-two diagonal, small integers below it, times a power-of-two
+    ``scale``."""
+    low = np.tril(rng.integers(-3, 4, (p, p)), -1) + np.diag(2 ** rng.integers(0, 3, p))
+    return scale * low.astype(np.float64)
+
+
 class TestSolveLower:
-    """The direct LAPACK solve is scipy's ``solve_triangular`` bit for bit."""
+    """On problems whose every intermediate is a short dyadic fraction,
+    so that no operation order, reciprocal or fused multiply-add can
+    round, the forward-substitution kernel is scipy's
+    ``solve_triangular`` bit for bit: no tolerance hides a wrong index,
+    transpose or memory layout."""
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [1, 50, 300])
     def test_bit_equal_to_solve_triangular(self, p, n):
         rng = np.random.default_rng(100 * p + n)
-        for scale in (1e-5, 1.0, 1e5):
-            chol = GaussianParams(rng.standard_normal(p), random_spd(rng, p, scale)).chol
-            other = random_spd(rng, p, scale)
-            half = solve_triangular(chol, other, lower=True)
-            rhs = {
-                "vector": scale * rng.standard_normal(p),
-                # mahalanobis_sq: centered rows, transposed (F-ordered)
-                "rows.T": (scale * rng.standard_normal((n, p))).T,
-                "C-ordered": scale * rng.standard_normal((p, n)),
-                # kl_gaussian: a scatter matrix, then the transposed half solve
-                "sigma": other,
-                "half.T": half.T,
+        for scale in (2.0**-16, 1.0, 2.0**16):
+            l1 = dyadic_lower(rng, p, scale)
+            p1 = GaussianParams(scale * rng.integers(-9, 10, p), l1 @ l1.T)
+            assert np.array_equal(p1.chol, l1)
+            offsets = scale * rng.integers(-50, 51, (n, p)).astype(np.float64)
+            rows = {
+                "vector": offsets[0],
+                "C-ordered": offsets,
+                "F-ordered": np.asfortranarray(offsets),
             }
-            for name, b in rhs.items():
-                want = solve_triangular(chol, b, lower=True)
-                got = _solve_lower(chol, b)
-                assert got.shape == want.shape, name
-                assert np.array_equal(got, want), name
+            for name, d in rows.items():
+                z = solve_triangular(l1, np.atleast_2d(d).T, lower=True)
+                want = (z * z).sum(axis=0)
+                got = mahalanobis_sq(p1.mu + d, p1)
+                assert np.array_equal(np.atleast_1d(got), want), name
+            l0 = dyadic_lower(rng, p, scale)
+            p0 = GaussianParams(p1.mu + offsets[0], l0 @ l0.T)
+            assert kl_gaussian(p0, p1) == lapack_kl(p0, p1)
 
 
 class TestLogDensity:

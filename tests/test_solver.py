@@ -3,9 +3,10 @@ and independent of what else is in its stack.
 
 ``reference_step`` and ``reference_fit`` are the serial step and fit
 loop the solver replaced, kept here as the slow reference: one start at
-a time, model depth through ``population_depth_gaussian`` (LAPACK
-triangular solve rather than the solver's forward substitution) and a
-``GaussianParams`` with its Cholesky re-check on every iterate.
+a time, model depth through ``population_depth_gaussian`` and a
+``GaussianParams`` with its Cholesky re-check on every iterate.  The
+stacked deduplication is checked against the per-pair ``kl_gaussian``
+loop it replaced.
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ from depthwl import (
     weight,
 )
 from depthwl import estimator, simulation
-from depthwl.gaussian import weighted_location_scatter
+from depthwl.gaussian import _log_det, _stacked_kl, weighted_location_scatter
 
 
 class ReferenceStepFailure(RuntimeError):
@@ -303,3 +304,105 @@ class TestStackInvariance:
         report = run_grid(cfg)
         assert checked == [25] * 8
         assert all(c.failures == 0 for c in report.cells)
+
+
+def random_spd(rng, p):
+    a = rng.standard_normal((p, p))
+    return a @ a.T + p * np.eye(p)
+
+
+def per_pair_distinct(params):
+    """The deduplication as a loop of kl_gaussian calls, one pair at a
+    time: positions of the first representatives."""
+    kept = []
+    for i, g in enumerate(params):
+        if not any(
+            kl_gaussian(g, params[k]) + kl_gaussian(params[k], g) < DEDUP_KL for k in kept
+        ):
+            kept.append(i)
+    return kept
+
+
+def assert_dedup_per_pair(data, inits):
+    """Stacked deduplication of the converged starts against the per-pair
+    loop on their GaussianParams; returns the number kept."""
+    cfg = EstimatorConfig()
+    emp = empirical_depths_all(data, cfg.depth_method)
+    stack = estimator._solve(
+        data[None], emp[None], np.zeros(len(inits), dtype=np.intp),
+        estimator._starts(inits, data.shape[1]), cfg,
+    )
+    conv = np.flatnonzero(stack.converged)
+    kept = estimator._distinct(stack.mu[conv], stack.chol[conv])
+    assert kept == per_pair_distinct([stack.params(i) for i in conv])
+    return len(kept)
+
+
+SPD_PARAMS = st.integers(1, 3).flatmap(
+    lambda p: st.lists(
+        st.tuples(
+            hnp.arrays(np.float64, p, elements=st.floats(-5, 5)),
+            hnp.arrays(np.float64, (p, p), elements=st.floats(-3, 3)),
+            st.sampled_from([1e-4, 1.0, 1e4]),
+        ),
+        min_size=1, max_size=6,
+    )
+)
+
+
+class TestStackedDeduplication:
+    def test_two_cluster_fixture(self):
+        data = two_cluster_fixture()
+        assert assert_dedup_per_pair(data, subsample_inits(data, 500, 0)) > 10
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_near_the_radius(self, p):
+        # perturbations of one root whose symmetrized KL to it spans
+        # DEDUP_KL / 10 to 10 DEDUP_KL, so many decisions are close calls
+        rng = np.random.default_rng(p)
+        base = GaussianParams(rng.standard_normal(p), random_spd(rng, p))
+        size = np.sqrt(DEDUP_KL) * np.exp(rng.uniform(-1.2, 1.2, 300))[:, None]
+        mu = base.mu + size * rng.standard_normal((300, p)) @ base.chol.T
+        scale = np.exp(size * rng.standard_normal((300, 1)))[:, :, None]
+        params = [GaussianParams(m, s * base.sigma) for m, s in zip(mu, scale)]
+        chol = np.array([g.chol for g in params])
+        kept = estimator._distinct(mu, chol)
+        assert kept == per_pair_distinct(params)
+        assert 10 < len(kept) < 290
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(8, 30), st.integers(1, 2)),
+            elements=st.floats(-10, 10).map(lambda v: round(v, 2)),
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_hypothesis_data(self, data, seed):
+        try:
+            inits = subsample_inits(data, 40, seed)
+        except ValueError:  # too degenerate to draw elemental starts
+            return
+        assert_dedup_per_pair(data, inits)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(SPD_PARAMS, st.data())
+    def test_kl_gaussian_is_its_stacked_row(self, drawn, draws):
+        # however the stack is composed, a pair's row is kl_gaussian
+        params = [
+            GaussianParams(mu, scale * (a @ a.T + np.eye(len(mu))))
+            for mu, a, scale in drawn
+        ]
+        mu = np.array([g.mu for g in params])
+        chol = np.array([g.chol for g in params])
+        log_det = _log_det(chol)
+        assert log_det.tobytes() == np.array([g.log_det for g in params]).tobytes()
+        pick = st.lists(st.integers(0, len(params) - 1), min_size=1, max_size=8)
+        i0, i1 = draws.draw(pick), draws.draw(pick)
+        n = min(len(i0), len(i1))
+        for a, b in ((i0[:n], i1[:n]), (i0[:1], i1), (i0, i1[:1])):
+            kl = _stacked_kl(mu[a], chol[a], log_det[a], mu[b], chol[b], log_det[b])
+            pairs = zip(*np.broadcast_arrays(a, b))
+            want = [kl_gaussian(params[j], params[k]) for j, k in pairs]
+            assert kl.tobytes() == np.array(want).tobytes()
