@@ -36,9 +36,18 @@ _KINDS = ("auto", "exact", "projection")
 # Angle (rad) before an arc's end where the 2-D sweep checks for exact ties.
 _TIE_RAD = 1e-9
 
-# Directions ranked at once, and query-to-point offsets swept at once.
+# Directions ranked at once: a block's packed keys and counts take a few
+# _BLOCK x (n + queries) int64 arrays, far below a chunk's n x 512
+# projections.  Query-to-point offsets swept at once.
 _BLOCK = 32
 _BATCH = 1 << 16
+
+# ``_min_tail_counts`` turns a double's bits into an int64 key that
+# orders like the value by flipping the magnitude bits of negative
+# values; the key of -x is then ~key(x), so finite values have keys
+# strictly between ~_INF_KEY and _INF_KEY, the bits of +inf.
+_MAGNITUDE = np.int64(0x7FFFFFFFFFFFFFFF)
+_INF_KEY = int(np.float64(np.inf).view(np.int64))
 
 # Cephes ndtr.c erfc: rational approximations on [0, 1) (as 1 - erf,
 # T/U in x**2), [1, 8) (P/Q) and [8, inf) (R/S), each leading
@@ -70,6 +79,11 @@ def _rng(seed, *extra) -> np.random.Generator:
     )
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class DepthMethod:
     """How to evaluate empirical half-space depth.
@@ -91,10 +105,15 @@ class DepthMethod:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown depth method kind: {self.kind!r}")
         if self.kind in ("auto", "projection"):
-            if self.n_directions is not None and self.n_directions < 1:
-                raise ValueError("n_directions must be >= 1")
+            if self.n_directions is not None and not (
+                _is_integer(self.n_directions) and self.n_directions >= 1
+            ):
+                raise ValueError(f"n_directions must be an integer >= 1, "
+                                 f"got {self.n_directions!r}")
         elif self.n_directions is not None:
             raise ValueError("n_directions applies only to auto and projection")
+        if not _is_integer(self.direction_seed):
+            raise ValueError(f"direction_seed must be an integer, got {self.direction_seed!r}")
 
     @classmethod
     def exact(cls) -> "DepthMethod":
@@ -123,11 +142,7 @@ class DepthMethod:
         unknown = set(d) - {"kind", "n_directions", "direction_seed"}
         if unknown:
             raise ValueError(f"unknown fields: {sorted(unknown)}")
-        return cls(
-            d.get("kind", "auto"),
-            d.get("n_directions"),
-            int(d.get("direction_seed", 0)),
-        )
+        return cls(d.get("kind", "auto"), d.get("n_directions"), d.get("direction_seed", 0))
 
 
 def resolve_depth_method(method: DepthMethod, p: int) -> DepthMethod:
@@ -301,12 +316,12 @@ def _exact_counts_2d(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _closed_tail_counts(proj: np.ndarray, n: int) -> np.ndarray:
+def _closed_tail_counts(proj: np.ndarray, n: int, order: np.ndarray) -> np.ndarray:
     """min(#{d <= v}, #{d >= v}) over the first ``n`` entries d of each
-    row of ``proj``, for every entry v of the row.  One argsort per row;
-    the data counted up to each sorted position are carried to both ends
-    of its tie group by maximum/minimum accumulation."""
-    order = proj.argsort(axis=1)
+    row of ``proj``, for every entry v of the row, given ``order``, which
+    sorts each row ascending with tied entries in any order.  The data
+    counted up to each sorted position are carried to both ends of its
+    tie group by maximum/minimum accumulation."""
     srt = np.take_along_axis(proj, order, axis=1)
     upto = np.cumsum(order < n, axis=1) if proj.shape[1] > n else np.arange(1, n + 1)
     tied = srt[:, 1:] == srt[:, :-1]
@@ -319,6 +334,57 @@ def _closed_tail_counts(proj: np.ndarray, n: int) -> np.ndarray:
     return below
 
 
+def _min_tail_counts(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each column's least closed-tail count over the rows of ``rows``
+    (``_closed_tail_counts`` in argsort order, minimized over the rows),
+    from one sort of packed keys.
+
+    An entry's key is its value's order-preserving int64 image (-0.0
+    made +0.0 first) with the low b = (m - 1).bit_length() bits replaced
+    by its column index, m the row width.  In a row whose truncated keys
+    all differ and are finite the values are distinct and the sort gives
+    their order, so the entry at sorted position k with ``upto`` data
+    entries at or before it counts min(upto, n - upto + is_data).  Rows
+    with equal truncated keys (exact ties, duplicate columns, near ties)
+    or with non-finite values go through ``_closed_tail_counts``, the
+    one tie rule, in the key order; that order is argsorted first in the
+    rows where it is not ascending (a clash joined distinct values, or
+    NaN).
+    """
+    m = rows.shape[1]
+    b = (m - 1).bit_length()
+    keys = np.add(rows, 0.0, order="C").view(np.int64)
+    keys ^= (keys >> 63) & _MAGNITUDE
+    keys &= np.int64(-1 << b)
+    keys |= np.arange(m)
+    keys.sort(axis=1)
+    col = keys & ((1 << b) - 1)
+    top = np.right_shift(keys, b, out=keys)
+    lim = _INF_KEY >> b
+    clean = (top[:, 1:] != top[:, :-1]).all(axis=1)
+    clean &= (top[:, 0] > ~lim) & (top[:, -1] < lim)
+    tied = not clean.all()
+    order = col[clean] if tied else col
+    if m > n:
+        is_data = order < n
+        upto = np.cumsum(is_data, axis=1)
+        counts = np.minimum(upto, n - upto + is_data)
+    else:
+        k = np.arange(n)
+        counts = np.tile(np.minimum(k + 1, n - k), order.shape[0])
+    # ufunc.at is fast only for one flat index array and values of its
+    # shape (broadcast values crash numpy 2.4 on large inputs).
+    best = np.full(m, n, dtype=np.int64)
+    np.minimum.at(best, order.ravel(), counts.ravel())
+    if tied:
+        rest, order = rows[~clean], col[~clean]
+        srt = np.take_along_axis(rest, order, axis=1)
+        unsorted = ~(srt[:, 1:] >= srt[:, :-1]).all(axis=1)
+        order[unsorted] = rest[unsorted].argsort(axis=1)
+        np.minimum(best, _closed_tail_counts(rest, n, order).min(axis=0), out=best)
+    return best
+
+
 def _projection_depths(
     data: np.ndarray, queries: np.ndarray, n_directions: int, seed: int
 ) -> np.ndarray:
@@ -327,14 +393,14 @@ def _projection_depths(
     Each direction contributes the one-dimensional depth of the
     projected query among the projected data (both closed tails), so
     antipodal directions come for free.  Chunks of 512 directions are
-    ranked _BLOCK at a time, queries other than the data merged into the
-    data's rows; a block's rank arrays take about half the memory of
-    the chunk's n x 512 projections.
+    ranked _BLOCK at a time by ``_min_tail_counts``, queries other than
+    the data merged into the data's rows.
     """
     n, p = data.shape
+    q = queries.shape[0]
     same = np.array_equal(queries, data)
     rng = _rng(seed)
-    best = np.full(queries.shape[0], n + 1, dtype=np.int64)
+    best = np.full(q, n + 1, dtype=np.int64)
     remaining = n_directions
     while remaining > 0:
         chunk = min(remaining, 512)
@@ -345,8 +411,7 @@ def _projection_depths(
         proj = [data @ u.T] if same else [data @ u.T, queries @ u.T]
         for j in range(0, u.shape[0], _BLOCK):
             rows = np.concatenate([x[:, j:j + _BLOCK].T for x in proj], axis=1)
-            counts = _closed_tail_counts(rows, n)[:, -queries.shape[0]:]
-            np.minimum(best, counts.min(axis=0), out=best)
+            np.minimum(best, _min_tail_counts(rows, n)[-q:], out=best)
         remaining -= chunk
     return best / n
 
@@ -373,7 +438,7 @@ def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
             data, queries, method.resolved_directions(p), method.direction_seed
         )
     if p == 1:
-        return _closed_tail_counts(np.concatenate([data, queries]).T, n)[0, n:] / n
+        return _min_tail_counts(np.concatenate([data, queries]).T, n)[n:] / n
     return _exact_counts_2d(data, queries) / n
 
 

@@ -335,6 +335,18 @@ class TestSimulateCommand:
         if code:
             assert "unknown depth method kind" in capsys.readouterr().err
 
+    def test_non_integral_directions_exit_1(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        weights = {"family": "piecewise", "delta1": 2, "delta2": 9,
+                   "gamma": 0.3, "xi": 1, "alpha": 0.5}
+        estimator = {"weights": weights,
+                     "depth_method": {"kind": "projection", "n_directions": 100.5}}
+        grid.write_text(json.dumps(self.grid_blob(estimator=estimator)))
+        assert main(["simulate", "--grid", str(grid),
+                     "--output-dir", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_directions must be an integer" in err
+
 
 class TestBreakdownCommand:
     def test_no_outliers(self, tmp_path):

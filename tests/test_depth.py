@@ -357,6 +357,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             DepthMethod.projection(0)
 
+    @pytest.mark.parametrize("bad", [100.5, 100.0, True, "100"])
+    def test_non_integral_directions_and_seed_rejected(self, bad):
+        with pytest.raises(ValueError, match="n_directions must be an integer"):
+            DepthMethod.projection(bad)
+        with pytest.raises(ValueError, match="n_directions must be an integer"):
+            DepthMethod.from_dict({"kind": "auto", "n_directions": bad})
+        with pytest.raises(ValueError, match="direction_seed must be an integer"):
+            DepthMethod.from_dict({"kind": "projection", "direction_seed": bad})
+        assert DepthMethod.projection(np.int64(100), seed=np.int64(-3)).n_directions == 100
+
     def test_from_dict_unknown_field(self):
         with pytest.raises(ValueError, match=r"unknown fields: \['n_direction'\]"):
             DepthMethod.from_dict({"kind": "projection", "n_direction": 50})

@@ -1,6 +1,7 @@
 """Property-based invariants: exact 2-D depth against an integer brute
 force and the scalar sweep, projection depth against the per-direction
-loop and against exact depth, the residual lower bound, trimming and
+loop and against exact depth, the packed-key ranking against the tie
+rule, the residual lower bound, trimming and
 its median against ``np.median``, row-wise trimming against the 1-D
 call, the cached log-determinant, and the
 rejection of non-finite samples at every entry point that takes one."""
@@ -138,18 +139,93 @@ def reference_projection_depths(data, queries, n_directions, seed):
     return best / n
 
 
+# Integer data in a small box has many tied projections (at p <= 3 every
+# projected row ties and takes the tie path); standard-normal data has
+# none, and takes the packed-key path.
+LOOP_DATA = [(p, normal) for normal in (False, True) for p in (1, 2, 3, 5)]
+
+
 @pytest.mark.parametrize("n_queries", [0, 17, 30], ids=["self", "17", "30"])
 @pytest.mark.parametrize("n_directions", [1, 511, 513, 1100])
-@pytest.mark.parametrize("p", [1, 2, 3, 5])
-def test_projection_matches_per_direction_loop(p, n_directions, n_queries):
-    # Integer data in a small box: many tied projections.  The direction
-    # counts cross the 512-direction chunk and the ranking block; a query
-    # set other than the data may have the data's shape.
+@pytest.mark.parametrize("p, normal", LOOP_DATA,
+                         ids=[f"{p}-normal" if normal else str(p) for p, normal in LOOP_DATA])
+def test_projection_matches_per_direction_loop(p, normal, n_directions, n_queries):
+    # The direction counts cross the 512-direction chunk and the ranking
+    # block; a query set other than the data may have the data's shape.
     rng = np.random.default_rng(100 * p + n_directions)
-    data = rng.integers(-2, 3, (30, p)).astype(np.float64)
-    queries = rng.integers(-3, 4, (n_queries, p)).astype(np.float64) if n_queries else data
+    if normal:
+        data = rng.standard_normal((30, p))
+        queries = rng.standard_normal((n_queries, p)) if n_queries else data
+    else:
+        data = rng.integers(-2, 3, (30, p)).astype(np.float64)
+        queries = rng.integers(-3, 4, (n_queries, p)).astype(np.float64) if n_queries else data
     got = empirical_depths(queries, data, DepthMethod.projection(n_directions, seed=p))
     want = reference_projection_depths(data, queries, n_directions, p)
+    assert np.array_equal(got, want)
+
+
+def test_projection_matches_per_direction_loop_overflow():
+    # Data near 1e308: projections overflow to +-inf and tie there.
+    rng = np.random.default_rng(7)
+    data = np.clip(rng.standard_normal((40, 2)), -1.4, 1.4) * 1.2e308
+    for queries in (data, data[::3] * 0.5):
+        with np.errstate(over="ignore"):
+            got = empirical_depths(queries, data, DepthMethod.projection(300, seed=3))
+            want = reference_projection_depths(data, queries, 300, 3)
+        assert np.array_equal(got, want)
+
+
+# Row widths where the column-index bit count changes, and width 1.
+TAIL_WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
+
+# Values whose packed keys clash: exact ties, +-0.0, neighbouring
+# doubles (distinct values with equal truncated keys), the ends of the
+# finite range and the infinities; and NaN of either sign, which the
+# tie rule sorts last.
+TIE_VALUES = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1.7e308, -1.7e308, 5e-324, -5e-324,
+                     np.nan, -np.nan]),
+    st.integers(-4, 4).map(lambda k: 1.0 + k * 2.0**-52),
+    st.integers(-4, 4).map(lambda k: -3.0 + k * 2.0**-51),
+)
+
+
+@st.composite
+def tail_rows(draw):
+    """An (r, m) block of projected rows and the count n of data
+    entries at its front; m > n merges query columns behind them."""
+    m = draw(st.sampled_from(TAIL_WIDTHS))
+    n = draw(st.integers(max(1, m // 2), m))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):  # no ties: the packed-key path
+            row = draw(hnp.arrays(np.float64, m, unique=True,
+                                  elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+        else:
+            row = draw(hnp.arrays(np.float64, m, elements=st.one_of(
+                TIE_VALUES, st.floats(-10.0, 10.0, allow_subnormal=False))))
+            if m > 1:  # a duplicate column
+                i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+                row[j] = row[i]
+        rows.append(row)
+    return np.array(rows), n
+
+
+@PROPERTY
+@given(tail_rows())
+@example((np.array([[0.0, -0.0, 1.0]]), 3))
+@example((np.array([[-0.0, 2.0, 0.0, -1.0]]), 2))
+@example((np.array([[1.0, np.nextafter(1.0, 2.0), 0.5]]), 3))
+@example((np.array([[np.nextafter(1.0, 2.0), 1.0, 0.5]]), 3))
+@example((np.array([[np.inf, 1.0, np.inf, -np.inf]]), 4))
+@example((np.array([[3.0]]), 1))
+@example((np.array([[1.0, -np.nan, 2.0]]), 2))
+def test_packed_key_counts_match_tie_rule(block):
+    rows, n = block
+    got = depth._min_tail_counts(rows, n)
+    want = depth._closed_tail_counts(rows, n, rows.argsort(axis=1)).min(axis=0)
+    assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
 
