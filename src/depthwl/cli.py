@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .depth import DepthMethod, empirical_depths, resolve_depth_method
+from .depth import DepthMethod, empirical_depths
 from .estimator import EstimatorConfig, find_roots
 from .gaussian import GaussianParams
 from .initializers import depth_init, subsample_inits
@@ -122,17 +122,15 @@ def _weight_spec(args) -> WeightSpec:
     )
 
 
-def _depth_method(args, p: int) -> DepthMethod:
-    return resolve_depth_method(
-        DepthMethod(args.depth_method, args.directions, args.seed), p
-    )
+def _depth_method(args) -> DepthMethod:
+    return DepthMethod(args.depth_method, args.directions, args.seed)
 
 
-def _estimator_config(args, p: int) -> EstimatorConfig:
+def _estimator_config(args) -> EstimatorConfig:
     return EstimatorConfig(
         dpr=DprConfig(args.alpha),
         weights=_weight_spec(args),
-        depth_method=_depth_method(args, p),
+        depth_method=_depth_method(args),
         scatter_norm="literal-1-over-n" if args.scatter_norm == "n"
         else "sum-of-weights",
     )
@@ -140,8 +138,7 @@ def _estimator_config(args, p: int) -> EstimatorConfig:
 
 def cmd_fit(args) -> int:
     data = load_csv_dataset(args.input)
-    p = data.shape[1]
-    cfg = _estimator_config(args, p)
+    cfg = _estimator_config(args)
     # empirical_depths_all(data), computed once for the depth start and
     # the fit; spelled through empirical_depths, the depth entry point
     # perfbench traces in this module.
@@ -163,9 +160,8 @@ def cmd_fit(args) -> int:
 
 def cmd_depth(args) -> int:
     data = load_csv_dataset(args.input)
-    p = data.shape[1]
     queries = data if args.query is None else load_csv_dataset(args.query)
-    depths = empirical_depths(queries, data, _depth_method(args, p))
+    depths = empirical_depths(queries, data, _depth_method(args))
     lines = ["row_index,depth"]
     lines += [f"{i},{d:.4f}" for i, d in enumerate(depths)]
     _write_output("\n".join(lines) + "\n", args.output)
@@ -190,7 +186,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    cfg = _estimator_config(args, args.p)
+    cfg = _estimator_config(args)
     report = breakdown_experiment(
         args.n, args.p, args.m, args.distance, cfg, args.seed
     )

@@ -9,11 +9,11 @@ All functions are pure; data arrays are never modified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gaussian import GaussianParams, _as_matrix, mahalanobis_sq
+from .gaussian import GaussianParams, _as_matrix, _check_integer, _fields, mahalanobis_sq
 
 __all__ = [
     "DepthMethod",
@@ -41,6 +41,10 @@ _TIE_RAD = 1e-9
 # projections.  Query-to-point offsets swept at once.
 _BLOCK = 32
 _BATCH = 1 << 16
+
+# Data reaching _HUGE in magnitude are scaled by _SHRINK, exactly, so that
+# projections and 2-D offsets stay below DBL_MAX.
+_HUGE, _SHRINK = 2.0**1000, 2.0**-24
 
 # ``_min_tail_counts`` turns a double's bits into an int64 key that
 # orders like the value by flipping the magnitude bits of negative
@@ -79,11 +83,6 @@ def _rng(seed, *extra) -> np.random.Generator:
     )
 
 
-def _is_integer(x) -> bool:
-    """Whether ``x`` is a Python or numpy integer; bool is not one."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class DepthMethod:
     """How to evaluate empirical half-space depth.
@@ -104,16 +103,11 @@ class DepthMethod:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown depth method kind: {self.kind!r}")
-        if self.kind in ("auto", "projection"):
-            if self.n_directions is not None and not (
-                _is_integer(self.n_directions) and self.n_directions >= 1
-            ):
-                raise ValueError(f"n_directions must be an integer >= 1, "
-                                 f"got {self.n_directions!r}")
-        elif self.n_directions is not None:
-            raise ValueError("n_directions applies only to auto and projection")
-        if not _is_integer(self.direction_seed):
-            raise ValueError(f"direction_seed must be an integer, got {self.direction_seed!r}")
+        if self.n_directions is not None:
+            if self.kind == "exact":
+                raise ValueError("n_directions applies only to auto and projection")
+            _check_integer("n_directions", self.n_directions, 1)
+        _check_integer("direction_seed", self.direction_seed)
 
     @classmethod
     def exact(cls) -> "DepthMethod":
@@ -131,18 +125,11 @@ class DepthMethod:
         return max(1000, 100 * p)
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind in ("auto", "projection"):
-            d["n_directions"] = self.n_directions
-            d["direction_seed"] = self.direction_seed
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DepthMethod":
-        unknown = set(d) - {"kind", "n_directions", "direction_seed"}
-        if unknown:
-            raise ValueError(f"unknown fields: {sorted(unknown)}")
-        return cls(d.get("kind", "auto"), d.get("n_directions"), d.get("direction_seed", 0))
+        return cls(**_fields(d, ("kind", "n_directions", "direction_seed")))
 
 
 def resolve_depth_method(method: DepthMethod, p: int) -> DepthMethod:
@@ -274,7 +261,9 @@ def _exact_count_2d(data: np.ndarray, query: np.ndarray) -> int:
     i = counts.argmax()
     last = i + counts[i] - 1  # index into ``doubled`` of the last counted offset
     while end[i] - doubled[last] <= _TIE_RAD:
-        a, b = offsets[order[i]], offsets[order[last % m]]
+        # Scaled exactly to a largest entry in [0.5, 1): products free of the data scale.
+        a, b = (np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+                for v in (offsets[order[i]], offsets[order[last % m]]))
         if a[0] * b[1] != a[1] * b[0] or a @ b >= 0.0:
             break
         counts[i] -= 1
@@ -432,7 +421,8 @@ def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
     if queries.shape[1] != p:
         raise ValueError("query dimension does not match data dimension")
     method = resolve_depth_method(method, p)
-
+    if max(np.abs(data).max(), np.abs(queries).max()) >= _HUGE:
+        data, queries = data * _SHRINK, queries * _SHRINK
     if method.kind == "projection":
         return _projection_depths(
             data, queries, method.resolved_directions(p), method.direction_seed

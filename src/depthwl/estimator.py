@@ -42,8 +42,8 @@ import numpy as np
 from .depth import DepthMethod, _model_depth, empirical_depths_all
 # Not called here: perfbench's tracer patches model depth at this name.
 from .depth import population_depth_gaussian  # noqa: F401
-from .gaussian import GaussianParams, _as_matrix, _log_det, _stacked_kl
-from .gaussian import _stacked_mahalanobis_sq, weighted_location_scatter
+from .gaussian import GaussianParams, _as_matrix, _check_integer, _fields, _log_det
+from .gaussian import _stacked_kl, _stacked_mahalanobis_sq, weighted_location_scatter
 # Not called here: perfbench's tracer patches the KL divergence at this name.
 from .gaussian import kl_gaussian  # noqa: F401
 from .residuals import DprConfig, WeightSpec, apply_trim, dpr, weight
@@ -93,8 +93,7 @@ class EstimatorConfig:
             raise ValueError("scatter_norm must be 'sum-of-weights' or 'literal-1-over-n'")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        _check_integer("max_iter", self.max_iter, 1)
 
     def to_dict(self) -> dict:
         return {
@@ -107,18 +106,13 @@ class EstimatorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorConfig":
-        unknown = set(d) - {"weights", "depth_method", "scatter_norm", "tol", "max_iter"}
-        if unknown:
-            raise ValueError(f"unknown fields: {sorted(unknown)}")
-        spec, dcfg = weight_config_from_dict(d["weights"])
-        return cls(
-            dpr=dcfg,
-            weights=spec,
-            depth_method=DepthMethod.from_dict(d.get("depth_method") or {}),
-            scatter_norm=d.get("scatter_norm", "literal-1-over-n"),
-            tol=float(d.get("tol", 1e-8)),
-            max_iter=int(d.get("max_iter", 500)),
-        )
+        d = _fields(d, ("weights", "depth_method", "scatter_norm", "tol", "max_iter"),
+                    required=("weights",))
+        kw = {k: d[k] for k in ("scatter_norm", "tol", "max_iter") if k in d}
+        kw["weights"], kw["dpr"] = weight_config_from_dict(d["weights"])
+        if d.get("depth_method") is not None:
+            kw["depth_method"] = DepthMethod.from_dict(d["depth_method"])
+        return cls(**kw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,10 +312,9 @@ class _Stack:
     def params(self, i: int) -> GaussianParams:
         return GaussianParams(self.mu[i], self.sigma[i])
 
-    def results(self, idx, params) -> list:
-        """FitResults of the problems ``idx`` with parameters ``params``
-        (their ``params(i)``): weights and residuals at those parameters
-        from one stacked evaluation."""
+    def results(self, idx) -> list:
+        """FitResults of the problems ``idx``: weights and residuals at
+        their parameters from one stacked evaluation."""
         idx = np.asarray(idx, dtype=np.intp)
         tau, w = _residuals_weights(
             self.data[self.ds[idx]], self.mu[idx], self.chol[idx],
@@ -329,7 +322,7 @@ class _Stack:
         )
         return [
             FitResult(
-                params=g,
+                params=self.params(i),
                 weights=w[k],
                 residuals=tau[k],
                 iterations=int(self.iterations[i]),
@@ -337,7 +330,7 @@ class _Stack:
                 sum_weights=float(w[k].sum()),
                 message=self.messages[i],
             )
-            for k, (i, g) in enumerate(zip(idx, params))
+            for k, i in enumerate(idx)
         ]
 
 
@@ -398,27 +391,29 @@ def fit(
     if emp_depths is None:
         emp_depths = empirical_depths_all(data, cfg.depth_method)
     stack = _solve(data[None], emp_depths[None], np.zeros(1, dtype=np.intp), starts, cfg)
-    return stack.results([0], [stack.params(0)])[0]
+    return stack.results([0])[0]
 
 
 def _distinct(mu: np.ndarray, chol: np.ndarray) -> list:
     """Positions of the distinct roots among the (S, p) locations ``mu``
     with lower Cholesky factors ``chol`` (S, p, p), in order.
 
-    Each root is compared with every root kept so far in one stacked
-    symmetrized KL, ``kl_gaussian`` both ways, and kept unless one is
-    closer than DEDUP_KL: results collapse to their first
-    representative.
+    A root closer than DEDUP_KL in symmetrized KL, ``kl_gaussian`` both
+    ways, to an earlier kept root collapses to it.  Each kept root is
+    compared with every later root in one stacked call each way, and the
+    next kept root is the first one no kept root covers.
     """
     log_det = _log_det(chol)
+    covered = np.zeros(len(mu), dtype=bool)
     kept: list = []
     for i in range(len(mu)):
-        if kept:
-            new = mu[i:i + 1], chol[i:i + 1], log_det[i:i + 1]
-            seen = mu[kept], chol[kept], log_det[kept]
-            if (_stacked_kl(*new, *seen) + _stacked_kl(*seen, *new) < DEDUP_KL).any():
-                continue
+        if covered[i]:
+            continue
         kept.append(i)
+        if i + 1 < len(mu):
+            one = mu[i:i + 1], chol[i:i + 1], log_det[i:i + 1]
+            rest = mu[i + 1:], chol[i + 1:], log_det[i + 1:]
+            covered[i + 1:] |= _stacked_kl(*rest, *one) + _stacked_kl(*one, *rest) < DEDUP_KL
     return kept
 
 
@@ -444,7 +439,7 @@ def _root_set(stack: _Stack, lo: int, hi: int) -> RootSet:
     failures = [stack.messages[i] for i in range(lo, hi) if not stack.converged[i]]
     conv = lo + np.flatnonzero(stack.converged[lo:hi])
     kept = conv[_distinct(stack.mu[conv], stack.chol[conv])].tolist()
-    roots = stack.results(kept, [stack.params(i) for i in kept]) if kept else []
+    roots = stack.results(kept) if kept else []
 
     selected = None
     if roots:

@@ -84,6 +84,29 @@ class GaussianParams:
         return cls(np.zeros(p), np.eye(p))
 
 
+def _check_integer(name: str, x, low: int | None = None) -> None:
+    """Raise ValueError naming ``name`` unless ``x`` is a Python or numpy
+    integer (bool is not one) of at least ``low``."""
+    if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and (low is None or x >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {x!r}")
+
+
+def _fields(d, allowed, required=()) -> dict:
+    """The config JSON object ``d``, unchanged; ValueError unless it is a
+    dict whose keys are among ``allowed`` and include ``required``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {d!r}")
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown fields: {sorted(unknown)}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"missing fields: {missing}")
+    return d
+
+
 def _as_matrix(data) -> np.ndarray:
     """``data`` as a float64 n x p matrix, a 1-D array as one column.
 

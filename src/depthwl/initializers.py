@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth import DepthMethod, _rng, empirical_depths_all
-from .gaussian import GaussianParams, SingularCovarianceError, _as_matrix, mle_fit
+from .gaussian import GaussianParams, SingularCovarianceError, _as_matrix, _check_integer
+from .gaussian import _fields, mle_fit
 
 __all__ = [
     "InitSpec",
@@ -97,6 +98,11 @@ def depth_init(
         raise ValueError("covariance of the deepest half is singular") from None
 
 
+# The JSON fields each init strategy takes besides ``strategy``.
+_STRATEGY_FIELDS = {"subsample": ("B", "seed"), "depth_deterministic": (), "truth": (),
+                    "custom": ("params_list",)}
+
+
 @dataclass(frozen=True)
 class InitSpec:
     """Declarative choice of starting values.
@@ -112,10 +118,10 @@ class InitSpec:
     custom: tuple = ()
 
     def __post_init__(self):
-        if self.strategy not in ("subsample", "depth_deterministic", "truth", "custom"):
+        if self.strategy not in _STRATEGY_FIELDS:
             raise ValueError(f"unknown init strategy: {self.strategy!r}")
-        if self.strategy == "subsample" and self.b < 1:
-            raise ValueError("B must be >= 1")
+        _check_integer("B", self.b, 1)
+        _check_integer("seed", self.seed)
         if self.strategy == "custom" and not self.custom:
             raise ValueError("custom strategy requires at least one parameter set")
 
@@ -155,15 +161,13 @@ class InitSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InitSpec":
-        unknown = set(d) - {"strategy", "B", "seed", "params_list"}
-        if unknown:
-            raise ValueError(f"unknown fields: {sorted(unknown)}")
-        strategy = d["strategy"]
-        if strategy == "subsample":
-            return cls("subsample", b=int(d.get("B", 500)), seed=int(d.get("seed", 0)))
-        if strategy == "custom":
-            return cls(
-                "custom",
-                custom=tuple(GaussianParams.from_dict(g) for g in d["params_list"]),
-            )
-        return cls(strategy)
+        strategy = _fields(d, ("strategy", "B", "seed", "params_list"),
+                           required=("strategy",))["strategy"]
+        # An unknown strategy is left to the constructor to reject.
+        extra = set(d) - {"strategy", *_STRATEGY_FIELDS.get(strategy, d)}
+        if extra:
+            raise ValueError(f"{sorted(extra)} do not apply to the {strategy} strategy")
+        kw = {name: d[key] for key, name in (("B", "b"), ("seed", "seed")) if key in d}
+        if "params_list" in d:
+            kw["custom"] = tuple(GaussianParams.from_dict(g) for g in d["params_list"])
+        return cls(strategy, **kw)

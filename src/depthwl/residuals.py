@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian import _fields
+
 __all__ = [
     "DprConfig",
     "WeightSpec",
@@ -265,11 +267,8 @@ def weight_config_from_dict(d: dict) -> tuple[WeightSpec, DprConfig]:
     (null counts as absent) go to ``WeightSpec``, which rejects an
     unknown family and a missing or inapplicable field.  ``xi`` null or
     ``"inf"`` disables trimming.  Any other key raises ValueError."""
-    unknown = set(d) - {"family", "xi", "alpha", *_SHAPE_FIELDS}
-    if unknown:
-        raise ValueError(f"unknown fields: {sorted(unknown)}")
-    cfg = DprConfig(float(d["alpha"]))
-    xi = d.get("xi", 1.0)
-    xi = float("inf") if xi in ("inf", None) else float(xi)
-    fields = {k: float(d[k]) for k in _SHAPE_FIELDS if d.get(k) is not None}
-    return WeightSpec(d["family"], trim_xi=xi, **fields), cfg
+    d = _fields(d, ("family", "xi", "alpha", *_SHAPE_FIELDS), required=("family", "alpha"))
+    kw = {k: d[k] for k in _SHAPE_FIELDS if d.get(k) is not None}
+    if "xi" in d:
+        kw["trim_xi"] = float("inf") if d["xi"] in ("inf", None) else d["xi"]
+    return WeightSpec(d["family"], **kw), DprConfig(d["alpha"])

@@ -32,7 +32,7 @@ from .depth import (
 from .estimator import EstimatorConfig, _root_sets, _starts, fit
 # Not called here: perfbench's tracer patches root finding at this name.
 from .estimator import find_roots  # noqa: F401
-from .gaussian import GaussianParams, kl_gaussian, mle_fit
+from .gaussian import GaussianParams, _check_integer, _fields, kl_gaussian, mle_fit
 from .initializers import InitSpec
 from .residuals import DprConfig, dpr
 
@@ -68,9 +68,11 @@ class ContaminationSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
-        if not self.sigma_c > 0.0:
-            raise ValueError("sigma_c must be positive")
+            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon!r}")
+        if not math.isfinite(self.mu_c):
+            raise ValueError(f"mu_c must be finite, got {self.mu_c!r}")
+        if not 0.0 < self.sigma_c < math.inf:
+            raise ValueError(f"sigma_c must be positive and finite, got {self.sigma_c!r}")
 
 
 def generate_dataset(n: int, p: int, spec: ContaminationSpec, seed):
@@ -124,8 +126,13 @@ class GridConfig:
             object.__setattr__(self, name, vals)
             if not vals:
                 raise ValueError(f"{name} must be nonempty")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        for name in ("dims", "size_factors"):
+            for i, v in enumerate(getattr(self, name)):
+                _check_integer(f"{name}[{i}]", v, 1)
+        _check_integer("reps", self.reps, 1)
+        _check_integer("seed", self.seed)
+        for spec in itertools.product(self.epsilons, self.mu_cs, self.sigma_cs):
+            ContaminationSpec(*spec)
         for p in self.dims:
             resolve_depth_method(self.estimator.depth_method, p)
 
@@ -152,35 +159,19 @@ class GridConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridConfig":
-        required = ("dims", "size_factors", "epsilons", "mu_cs", "sigma_cs",
-                    "reps", "seed")
-        unknown = set(d) - {*required, "estimator", "init"}
-        if unknown:
-            raise ValueError(f"unknown fields: {sorted(unknown)}")
-        for name in required:
-            if name not in d:
-                raise ValueError(f"grid config is missing field: {name}")
+        required = ("dims", "size_factors", "epsilons", "mu_cs", "sigma_cs", "reps", "seed")
+        kw = dict(_fields(d, (*required, "estimator", "init"), required))
+        readers = {"estimator": EstimatorConfig.from_dict, "init": InitSpec.from_dict,
+                   **dict.fromkeys(("epsilons", "mu_cs", "sigma_cs"),
+                                   lambda v: tuple(float(x) for x in v))}
+        for name, reader in readers.items():
+            try:
+                if name in d:
+                    kw[name] = reader(d[name])
+            except (KeyError, ValueError, TypeError) as exc:
+                raise ValueError(f"invalid field: {name} ({exc})") from None
         try:
-            estimator = (EstimatorConfig.from_dict(d["estimator"])
-                         if "estimator" in d else EstimatorConfig())
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ValueError(f"invalid field: estimator ({exc})") from None
-        try:
-            init = InitSpec.from_dict(d["init"]) if "init" in d else InitSpec("truth")
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ValueError(f"invalid field: init ({exc})") from None
-        try:
-            return cls(
-                dims=tuple(int(v) for v in d["dims"]),
-                size_factors=tuple(int(v) for v in d["size_factors"]),
-                epsilons=tuple(float(v) for v in d["epsilons"]),
-                mu_cs=tuple(float(v) for v in d["mu_cs"]),
-                sigma_cs=tuple(float(v) for v in d["sigma_cs"]),
-                reps=int(d["reps"]),
-                seed=int(d["seed"]),
-                estimator=estimator,
-                init=init,
-            )
+            return cls(**kw)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"invalid field: {exc}") from None
 

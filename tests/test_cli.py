@@ -201,7 +201,7 @@ class TestFitWeightFlags:
         assert cfg == EstimatorConfig(
             dpr=DprConfig(alpha),
             weights=WeightSpec.optimal(alpha),
-            depth_method=DepthMethod.exact(),
+            depth_method=DepthMethod(),
         )
 
     def test_smooth_family_takes_table_xi(self, monkeypatch, clean_csv):
@@ -346,6 +346,36 @@ class TestSimulateCommand:
                      "--output-dir", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n_directions must be an integer" in err
+
+    WEIGHTS = {"family": "piecewise", "delta1": 2, "delta2": 9, "gamma": 0.3, "alpha": 0.5}
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"reps": 2.5}, "reps"),
+        ({"reps": True}, "reps"),
+        ({"seed": 1.9}, "seed"),
+        ({"dims": [2.7]}, "dims"),
+        ({"dims": [0]}, "dims"),
+        ({"size_factors": [0]}, "size_factors"),
+        ({"epsilons": [1.5]}, "epsilon"),
+        ({"mu_cs": [float("inf")]}, "mu_c"),
+        ({"mu_cs": [float("nan")]}, "mu_c"),
+        ({"sigma_cs": [-1]}, "sigma_c"),
+        ({"init": {"strategy": "subsample", "B": 10.9}}, "B"),
+        ({"init": {"strategy": "truth", "B": 10}}, "B"),
+        ({"init": {"strategy": "subsample",
+                   "params_list": [GaussianParams.standard(2).to_dict()]}}, "params_list"),
+        ({"estimator": {"weights": WEIGHTS, "max_iter": 10.5}}, "max_iter"),
+    ])
+    def test_bad_value_exits_1_at_load(self, tmp_path, capsys, monkeypatch, overrides, field):
+        ran = []
+        monkeypatch.setattr(cli, "run_grid", lambda cfg: ran.append(cfg))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(self.grid_blob(**overrides)))
+        outdir = tmp_path / "out"
+        assert main(["simulate", "--grid", str(grid), "--output-dir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid field" in err and field in err
+        assert not ran and not outdir.exists()
 
 
 class TestBreakdownCommand:

@@ -347,6 +347,33 @@ class TestDepthVectorInvariants:
             assert np.all(depths <= 1.0)
 
 
+class TestPowerOfTwoScale:
+    """Depth is invariant under x -> x * 2**k, which is exact for these
+    data: entries are 0 or at least 0.01 in magnitude and below 4, so
+    x * 2**1022 stays finite while its projections and 2-D offsets
+    reach past DBL_MAX."""
+
+    @pytest.mark.parametrize("k", [-1000, -999, -600, -1, 1, 600, 999, 1000, 1021, 1022])
+    @pytest.mark.parametrize("method", [DepthMethod.exact(), DepthMethod.projection(200, seed=1)],
+                             ids=["exact", "projection"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("integer", [False, True], ids=["spread", "integer"])
+    @pytest.mark.parametrize("self_depths", [True, False], ids=["self", "queries"])
+    def test_depth_at_scaled_data_is_bit_identical(self, k, method, p, integer, self_depths):
+        rng = np.random.default_rng(p)
+        if integer:  # exact ties, collinear and coincident points: the 2-D tie rule
+            data = rng.integers(-3, 4, (30, p)).astype(np.float64)
+        else:
+            data = np.vstack([[[3.99] * p, [-3.99] * p],
+                              np.round(rng.uniform(-3.99, 3.99, (30, p)), 2)])
+        queries = data if self_depths else np.vstack([data[::4], rng.integers(-3, 4, (5, p))])
+        want = empirical_depths(queries, data, method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = empirical_depths(queries * 2.0**k, data * 2.0**k, method)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestValidation:
     def test_method_kind(self):
         for kind in ("exact-1d", "exact-2d", "exact-3d"):

@@ -3,12 +3,16 @@ force and the scalar sweep, projection depth against the per-direction
 loop and against exact depth, the packed-key ranking against the tie
 rule, the residual lower bound, trimming and
 its median against ``np.median``, row-wise trimming against the 1-D
-call, the cached log-determinant, and the
-rejection of non-finite samples at every entry point that takes one."""
+call, the cached log-determinant, the
+rejection of non-finite samples at every entry point that takes one,
+and the JSON round trip of every config its constructor accepts."""
+
+import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +21,9 @@ from depthwl import (
     DprConfig,
     EstimatorConfig,
     GaussianParams,
+    GridConfig,
+    InitSpec,
+    WeightSpec,
     apply_trim,
     depth_init,
     dpr,
@@ -165,13 +172,13 @@ def test_projection_matches_per_direction_loop(p, normal, n_directions, n_querie
 
 
 def test_projection_matches_per_direction_loop_overflow():
-    # Data near 1e308: projections overflow to +-inf and tie there.
+    # Data near 1e308, whose projections overflow, are ranked as the
+    # same data scaled down by a power of two.
     rng = np.random.default_rng(7)
     data = np.clip(rng.standard_normal((40, 2)), -1.4, 1.4) * 1.2e308
     for queries in (data, data[::3] * 0.5):
-        with np.errstate(over="ignore"):
-            got = empirical_depths(queries, data, DepthMethod.projection(300, seed=3))
-            want = reference_projection_depths(data, queries, 300, 3)
+        got = empirical_depths(queries, data, DepthMethod.projection(300, seed=3))
+        want = reference_projection_depths(data * depth._SHRINK, queries * depth._SHRINK, 300, 3)
         assert np.array_equal(got, want)
 
 
@@ -370,3 +377,88 @@ def test_non_finite_row_rejected(entry, data, draw, bad):
     data[draw.draw(st.integers(0, data.shape[0] - 1))] = bad
     with pytest.raises(ValueError, match="finite"):
         entry(data)
+
+
+def mostly(good, bad, odds=3):
+    """A draw of ``good`` ``odds`` times in ``odds + 1``, else one of the
+    values ``bad``: non-integral, boolean, NaN or out-of-range values
+    that a config must reject rather than store."""
+    return st.tuples(st.integers(0, odds), good, st.sampled_from(bad)).map(
+        lambda t: t[1] if t[0] else t[2])
+
+
+def int_field(lo, hi, odds=3):
+    return mostly(st.integers(lo, hi), [2.5, 3.0, True, math.nan], odds)
+
+
+DEPTH_METHODS = st.builds(
+    DepthMethod,
+    st.sampled_from(["auto", "exact", "projection"]),
+    st.one_of(st.none(), int_field(1, 5000)),
+    int_field(-2**63, 2**64),
+)
+
+WEIGHTS = st.one_of(
+    st.builds(
+        lambda d1, width, gamma, xi: WeightSpec.piecewise(d1, d1 + width, gamma, trim_xi=xi),
+        st.floats(0.1, 5), st.floats(0.1, 10), st.floats(0, 1),
+        st.one_of(st.floats(0.1, 10), st.just(math.inf)),
+    ),
+    st.builds(lambda a, xi: WeightSpec.smooth_exp(a, trim_xi=xi), st.floats(0, 1),
+              st.floats(0.1, 10)),
+)
+
+ESTIMATORS = st.builds(
+    EstimatorConfig,
+    dpr=st.builds(DprConfig, st.floats(0.01, 1)),
+    weights=WEIGHTS,
+    depth_method=DEPTH_METHODS,
+    scatter_norm=st.sampled_from(["sum-of-weights", "literal-1-over-n"]),
+    tol=st.floats(1e-12, 1e-2),
+    max_iter=int_field(1, 1000),
+)
+
+INITS = st.one_of(
+    st.builds(InitSpec, st.just("subsample"), int_field(1, 1000), int_field(-5, 2**40)),
+    st.sampled_from(["depth_deterministic", "truth"]).map(InitSpec),
+)
+
+# About half the grids have a bad field; their estimator and init are
+# valid ones, which the cases above vary.
+GRIDS = st.builds(
+    GridConfig,
+    dims=st.lists(int_field(1, 4, 15), min_size=1, max_size=2),
+    size_factors=st.lists(int_field(1, 20, 15), min_size=1, max_size=2),
+    epsilons=st.lists(mostly(st.floats(0, 0.99), [1.0, -0.1, math.nan], 15),
+                      min_size=1, max_size=2),
+    mu_cs=st.lists(mostly(st.floats(-1e3, 1e3), [math.inf, math.nan], 15),
+                   min_size=1, max_size=2),
+    sigma_cs=st.lists(mostly(st.floats(0.01, 10), [0.0, -1.0, math.inf], 15),
+                      min_size=1, max_size=2),
+    reps=int_field(1, 100, 15),
+    seed=int_field(-5, 2**40, 15),
+    estimator=st.sampled_from([
+        EstimatorConfig(),
+        EstimatorConfig(depth_method=DepthMethod.projection(50, seed=3), max_iter=20),
+    ]),
+    init=st.sampled_from([InitSpec("truth"), InitSpec("subsample", b=7, seed=3)]),
+)
+
+
+@pytest.mark.parametrize("cls, configs", [
+    (DepthMethod, DEPTH_METHODS),
+    (EstimatorConfig, ESTIMATORS),
+    (InitSpec, INITS),
+    (GridConfig, GRIDS),
+], ids=["DepthMethod", "EstimatorConfig", "InitSpec", "GridConfig"])
+# Without the explain phase, which takes minutes on a failing nested config.
+@settings(PROPERTY, max_examples=100, phases=set(Phase) - {Phase.explain})
+@given(st.data())
+def test_accepted_config_round_trips(cls, configs, draw):
+    # A config its constructor accepts reads back equal from its JSON, so
+    # no value (2.5 for an integer, NaN) is stored that the reader changes.
+    try:
+        config = draw.draw(configs)
+    except ValueError:
+        return
+    assert cls.from_dict(json.loads(json.dumps(config.to_dict()))) == config
