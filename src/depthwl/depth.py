@@ -38,9 +38,11 @@ _TIE_RAD = 1e-9
 
 # Directions ranked at once: a block's packed keys and counts take a few
 # _BLOCK x (n + queries) int64 arrays, far below a chunk's n x 512
-# projections.  Query-to-point offsets swept at once.
+# projections.  Query-to-point offsets swept at once, over the queries of
+# as many datasets as fit: a few thousand keep the sweep's arrays in cache,
+# and larger batches only add memory.
 _BLOCK = 32
-_BATCH = 1 << 16
+_BATCH = 1 << 13
 
 # Data reaching _HUGE in magnitude are scaled by _SHRINK, exactly, so that
 # projections and 2-D offsets stay below DBL_MAX.
@@ -273,26 +275,34 @@ def _exact_count_2d(data: np.ndarray, query: np.ndarray) -> int:
 
 
 def _exact_counts_2d(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """``_exact_count_2d`` of every query, swept _BATCH offsets at a time.
-    Coincident offsets get angle +inf and sort last.  A stable argsort of
-    [ends, doubled angles] per row counts the angles below each arc end,
-    ends first as with ``side="left"``; rows whose maximal arc ends within
-    _TIE_RAD of its last counted offset are recounted with the tie rule."""
-    n = data.shape[0]
+    """``_exact_count_2d`` of the queries (D, q, 2) of each of D datasets
+    (D, n, 2) within it: counts (D, q).
+
+    The queries of all datasets are swept together, _BATCH offsets at a
+    time, each query's row offset against its own dataset.  Coincident
+    offsets get angle +inf and sort last.  A stable argsort of [ends,
+    doubled angles] per row counts the angles below each arc end, ends
+    first as with ``side="left"``; rows whose maximal arc ends within
+    _TIE_RAD of its last counted offset are recounted with the tie rule.
+    A row's count does not depend on the rows swept beside it."""
+    n = data.shape[1]
+    flat = queries.reshape(-1, 2)
+    owner = np.repeat(np.arange(data.shape[0]), queries.shape[1])
     idx = np.arange(n)
-    counts = np.empty(queries.shape[0], dtype=np.int64)
+    counts = np.empty(flat.shape[0], dtype=np.int64)
     step = max(1, _BATCH // n)
-    for s in range(0, queries.shape[0], step):
-        qs = queries[s:s + step]
+    for s in range(0, flat.shape[0], step):
+        qs, ds = flat[s:s + step], owner[s:s + step]
         rows = np.arange(qs.shape[0])
-        offsets = data - qs[:, None, :]
-        coincident = (offsets[..., 0] == 0.0) & (offsets[..., 1] == 0.0)
-        ang = np.where(coincident, np.inf, np.arctan2(offsets[..., 1], offsets[..., 0]))
+        dx, dy = data[ds, :, 0] - qs[:, :1], data[ds, :, 1] - qs[:, 1:]
+        coincident = (dx == 0.0) & (dy == 0.0)
+        ang = np.where(coincident, np.inf, np.arctan2(dy, dx))
         ang.sort(axis=1)
         m = n - np.count_nonzero(coincident, axis=1)
         merged = np.concatenate([ang + np.pi, ang, ang + 2.0 * np.pi], axis=1)
-        ends = np.nonzero(merged.argsort(axis=1, kind="stable") < n)[1]
-        inside = ends.reshape(-1, n) - 2 * idx  # offsets in [ang_i, end_i)
+        # Positions of the ends in each row's stable order, the ends in order.
+        ends = np.flatnonzero(merged.argsort(axis=1, kind="stable") < n).reshape(-1, n)
+        inside = ends - 3 * n * rows[:, None] - 2 * idx  # offsets in [ang_i, end_i)
         inside[idx >= m[:, None]] = 0  # arcs starting at coincident points
         i = inside.argmax(axis=1)
         top = inside[rows, i]
@@ -301,8 +311,8 @@ def _exact_counts_2d(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
         gap = merged[rows, i] - np.where(m > 0, merged[rows, n + last], -np.inf)
         counts[s:s + step] = n - top
         for r in np.flatnonzero(gap <= _TIE_RAD):
-            counts[s + r] = _exact_count_2d(data, qs[r])
-    return counts
+            counts[s + r] = _exact_count_2d(data[ds[r]], qs[r])
+    return counts.reshape(queries.shape[:2])
 
 
 def _closed_tail_counts(proj: np.ndarray, n: int, order: np.ndarray) -> np.ndarray:
@@ -405,6 +415,33 @@ def _projection_depths(
     return best / n
 
 
+def _stacked_depths(data: np.ndarray, queries: np.ndarray, method: DepthMethod) -> np.ndarray:
+    """Empirical depths (D, q) of the validated queries (D, q, p) of each
+    of D validated datasets (D, n, p) within it.
+
+    Each dataset reaching _HUGE in magnitude is scaled by _SHRINK, with
+    its queries, on its own.  Exact p = 2 sweeps all datasets' queries
+    at once; p = 1 and projection rank one dataset at a time.
+    """
+    D, n, p = data.shape
+    method = resolve_depth_method(method, p)
+    if not D:
+        return np.empty(queries.shape[:2])
+    huge = np.maximum(np.abs(data).max(axis=(1, 2)), np.abs(queries).max(axis=(1, 2))) >= _HUGE
+    if huge.any():
+        scale = np.where(huge, _SHRINK, 1.0)[:, None, None]
+        data, queries = data * scale, queries * scale
+    if method.kind == "projection":
+        k, seed = method.resolved_directions(p), method.direction_seed
+        depths = [_projection_depths(x, qs, k, seed) for x, qs in zip(data, queries)]
+    elif p == 1:
+        depths = [_min_tail_counts(np.concatenate([x, qs]).T, n)[n:] / n
+                  for x, qs in zip(data, queries)]
+    else:
+        return _exact_counts_2d(data, queries) / n
+    return np.array(depths)
+
+
 def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
     """Empirical half-space depth of each query row w.r.t. ``data``.
 
@@ -420,16 +457,7 @@ def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
                          else np.atleast_2d(queries))
     if queries.shape[1] != p:
         raise ValueError("query dimension does not match data dimension")
-    method = resolve_depth_method(method, p)
-    if max(np.abs(data).max(), np.abs(queries).max()) >= _HUGE:
-        data, queries = data * _SHRINK, queries * _SHRINK
-    if method.kind == "projection":
-        return _projection_depths(
-            data, queries, method.resolved_directions(p), method.direction_seed
-        )
-    if p == 1:
-        return _min_tail_counts(np.concatenate([data, queries]).T, n)[n:] / n
-    return _exact_counts_2d(data, queries) / n
+    return _stacked_depths(data[None], queries[None], method)[0]
 
 
 def empirical_depth(query, data, method: DepthMethod) -> float:
@@ -443,8 +471,17 @@ def empirical_depth(query, data, method: DepthMethod) -> float:
 def empirical_depths_all(data, method: DepthMethod) -> np.ndarray:
     """Depth of every sample point within its own sample.
 
-    Computed once per dataset; the result does not depend on any model
-    parameters.  Every entry lies in [1/n, 1] because each point
+    ``data`` is one sample, (n, p) or (n,), giving (n,) depths, or a
+    stack of D samples of equal size (D, n, p), giving (D, n): each
+    sample is validated as one, and the stack is evaluated in one pass
+    (one sweep over all of them for exact depth at p = 2), every row bit
+    for bit its own sample's call.  The result does not depend on any
+    model parameters.  Every entry lies in [1/n, 1] because each point
     belongs to all closed half-spaces through itself.
     """
-    return empirical_depths(data, data, method)
+    stack = np.asarray(data, dtype=np.float64)
+    if stack.ndim < 3:
+        return empirical_depths(data, data, method)
+    for sample in stack:
+        _as_matrix(sample)
+    return _stacked_depths(stack, stack, method)

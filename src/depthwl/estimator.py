@@ -26,14 +26,14 @@ problems (locations, Cholesky factors, the data and depths of each)
 in one pass, and problems leave the stack as they converge, fail or
 run out of iterations.  ``fit`` is a stack of one, ``find_roots`` a
 stack of its starts, and a simulation grid cell one stack over the
-starts of all its replications.  Each problem's arithmetic does not
+starts of all its replications, whose roots then take their weights and
+residuals from one more stacked pass.  Each problem's arithmetic does not
 depend on what else is in the stack, so a start gives the same result
 bit for bit however it is batched.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,8 +42,9 @@ import numpy as np
 from .depth import DepthMethod, _model_depth, empirical_depths_all
 # Not called here: perfbench's tracer patches model depth at this name.
 from .depth import population_depth_gaussian  # noqa: F401
-from .gaussian import GaussianParams, _as_matrix, _check_integer, _fields, _log_det
-from .gaussian import _stacked_kl, _stacked_mahalanobis_sq, weighted_location_scatter
+from .gaussian import GaussianParams, _as_matrix, _check_integer, _check_real, _cholesky
+from .gaussian import _fields, _log_det, _stacked_kl, _stacked_mahalanobis_sq
+from .gaussian import weighted_location_scatter
 # Not called here: perfbench's tracer patches the KL divergence at this name.
 from .gaussian import kl_gaussian  # noqa: F401
 from .residuals import DprConfig, WeightSpec, apply_trim, dpr, weight
@@ -91,6 +92,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.scatter_norm not in ("sum-of-weights", "literal-1-over-n"):
             raise ValueError("scatter_norm must be 'sum-of-weights' or 'literal-1-over-n'")
+        _check_real("tol", self.tol)
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         _check_integer("max_iter", self.max_iter, 1)
@@ -210,19 +212,6 @@ def _residuals_weights(x, mu, chol, emp_depths, cfg):
     return tau, w
 
 
-def _cholesky(sigma: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack of symmetric matrices, NaN for
-    those that are not positive definite."""
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        out = np.full_like(sigma, np.nan)
-        for i, s in enumerate(sigma):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[i] = np.linalg.cholesky(s)
-        return out
-
-
 def irwls_step(
     x: np.ndarray,
     mu: np.ndarray,
@@ -255,9 +244,7 @@ def irwls_step(
     new_sigma = np.full(chol.shape, np.nan)
     denom = float(n) if cfg.scatter_norm == "literal-1-over-n" else sum_w[keep]
     new_mu[keep], new_sigma[keep] = weighted_location_scatter(x[keep], w[keep], denom)
-    finite = np.isfinite(new_mu).all(axis=1) & np.isfinite(new_sigma).all(axis=(1, 2))
-    new_chol = np.full_like(new_sigma, np.nan)
-    new_chol[finite] = _cholesky(new_sigma[finite])
+    new_chol = _cholesky(new_sigma)
     singular = keep & np.isnan(new_chol).any(axis=(1, 2))
     failures.update(
         (int(i), "updated scatter matrix is singular") for i in np.flatnonzero(singular)
@@ -314,24 +301,30 @@ class _Stack:
 
     def results(self, idx) -> list:
         """FitResults of the problems ``idx``: weights and residuals at
-        their parameters from one stacked evaluation."""
+        their parameters from stacked evaluations of at most _ROWS data
+        rows each."""
         idx = np.asarray(idx, dtype=np.intp)
-        tau, w = _residuals_weights(
-            self.data[self.ds[idx]], self.mu[idx], self.chol[idx],
-            self.emp_depths[self.ds[idx]], self.cfg,
-        )
-        return [
-            FitResult(
-                params=self.params(i),
-                weights=w[k],
-                residuals=tau[k],
-                iterations=int(self.iterations[i]),
-                converged=bool(self.converged[i]),
-                sum_weights=float(w[k].sum()),
-                message=self.messages[i],
+        chunk = max(1, _ROWS // self.data.shape[1])
+        out = []
+        for lo in range(0, len(idx), chunk):
+            part = idx[lo:lo + chunk]
+            ds = self.ds[part]
+            tau, w = _residuals_weights(
+                self.data[ds], self.mu[part], self.chol[part], self.emp_depths[ds], self.cfg
             )
-            for k, i in enumerate(idx)
-        ]
+            out += [
+                FitResult(
+                    params=self.params(i),
+                    weights=w[k],
+                    residuals=tau[k],
+                    iterations=int(self.iterations[i]),
+                    converged=bool(self.converged[i]),
+                    sum_weights=float(w[k].sum()),
+                    message=self.messages[i],
+                )
+                for k, i in enumerate(part)
+            ]
+        return out
 
 
 def _solve(data, emp_depths, ds, starts, cfg: EstimatorConfig) -> _Stack:
@@ -423,6 +416,8 @@ def _root_sets(data, emp_depths, starts, cfg: EstimatorConfig) -> list:
 
     ``data`` is (D, n, p), ``emp_depths`` (D, n) and ``starts`` one
     ``_starts`` triple per dataset; returns one RootSet per dataset.
+    The kept roots of every dataset get their weights and residuals from
+    one ``_Stack.results`` call.
     """
     if not starts:
         return []
@@ -430,17 +425,20 @@ def _root_sets(data, emp_depths, starts, cfg: EstimatorConfig) -> list:
     ds = np.repeat(np.arange(len(counts)), counts)
     stack = _solve(data, emp_depths, ds, [np.concatenate(a) for a in zip(*starts)], cfg)
     bounds = np.cumsum([0] + counts).tolist()
-    return [_root_set(stack, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    kept = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        conv = lo + np.flatnonzero(stack.converged[lo:hi])
+        kept.append(conv[_distinct(stack.mu[conv], stack.chol[conv])])
+    roots = stack.results(np.concatenate(kept))
+    ends = np.cumsum([0] + [len(k) for k in kept]).tolist()
+    return [_root_set(stack, lo, hi, roots[a:b])
+            for lo, hi, a, b in zip(bounds, bounds[1:], ends, ends[1:])]
 
 
-def _root_set(stack: _Stack, lo: int, hi: int) -> RootSet:
-    """Deduplicate and rank the converged problems lo..hi-1, the starts
-    of one dataset."""
+def _root_set(stack: _Stack, lo: int, hi: int, roots: list) -> RootSet:
+    """Rank ``roots``, the FitResults of the distinct converged problems
+    among lo..hi-1, the starts of one dataset."""
     failures = [stack.messages[i] for i in range(lo, hi) if not stack.converged[i]]
-    conv = lo + np.flatnonzero(stack.converged[lo:hi])
-    kept = conv[_distinct(stack.mu[conv], stack.chol[conv])].tolist()
-    roots = stack.results(kept) if kept else []
-
     selected = None
     if roots:
         selected = min(

@@ -8,6 +8,7 @@ definite and raises ValueError rather than being silently regularized.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -91,6 +92,13 @@ def _check_integer(name: str, x, low: int | None = None) -> None:
             and (low is None or x >= low)):
         bound = "" if low is None else f" >= {low}"
         raise ValueError(f"{name} must be an integer{bound}, got {x!r}")
+
+
+def _check_real(name: str, x) -> None:
+    """Raise ValueError naming ``name`` unless ``x`` is a Python or numpy
+    real number (bool is not one); ranges are the caller's to check."""
+    if not (isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
 
 
 def _fields(d, allowed, required=()) -> dict:
@@ -186,6 +194,43 @@ def weighted_location_scatter(data: np.ndarray, w: np.ndarray, denom):
     return mu, sigma
 
 
+def _cholesky(sigma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of symmetric matrices, NaN for
+    those that are not finite and positive definite."""
+    out = np.full_like(sigma, np.nan)
+    finite = np.isfinite(sigma).all(axis=(1, 2))
+    try:
+        out[finite] = np.linalg.cholesky(sigma[finite])
+    except np.linalg.LinAlgError:
+        for i in np.flatnonzero(finite):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.cholesky(sigma[i])
+    return out
+
+
+def _mle_fits(data: np.ndarray):
+    """The moments of ``mle_fit`` for a stack of S finite samples (S, n, p)
+    at once, each item bit for bit its own fit's: locations (S, p),
+    scatters (S, p, p) and lower Cholesky factors (S, p, p), from one
+    ``weighted_location_scatter`` call and one batched Cholesky.  A
+    scatter that overflows or is singular gets a NaN factor;
+    ``_check_fit`` raises what ``mle_fit`` raises for it."""
+    S, n = data.shape[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sigma = weighted_location_scatter(data, np.ones((S, n)), float(n))
+    return mu, sigma, _cholesky(sigma)
+
+
+def _check_fit(sigma: np.ndarray, chol: np.ndarray) -> None:
+    """Raise ValueError when the scatter ``sigma`` of one ``_mle_fits``
+    item overflows, SingularCovarianceError when its factor ``chol`` is
+    NaN for another reason."""
+    if not np.isfinite(sigma).all():
+        raise ValueError("sample covariance overflows float64; rescale the data")
+    if np.isnan(chol).any():
+        raise SingularCovarianceError("sample covariance is singular")
+
+
 def mle_fit(data) -> GaussianParams:
     """Maximum likelihood estimate: sample mean and 1/n covariance.
 
@@ -193,17 +238,11 @@ def mle_fit(data) -> GaussianParams:
     equations.  Raises ValueError on data ``_as_matrix`` rejects, a
     sample covariance beyond the float64 range (data of scale about
     1e154 and above) or a singular one (e.g. identical rows or n <= p).
+    A stack of one of ``_mle_fits``.
     """
-    data = _as_matrix(data)
-    n = data.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu, sigma = weighted_location_scatter(data, np.ones(n), float(n))
-    if not np.isfinite(sigma).all():
-        raise ValueError("sample covariance overflows float64; rescale the data")
-    try:
-        return GaussianParams(mu, sigma)
-    except ValueError:
-        raise SingularCovarianceError("sample covariance is singular") from None
+    mu, sigma, chol = _mle_fits(_as_matrix(data)[None])
+    _check_fit(sigma[0], chol[0])
+    return GaussianParams(mu[0], sigma[0])
 
 
 def kl_gaussian(p0: GaussianParams, p1: GaussianParams) -> float:
@@ -234,7 +273,7 @@ def _stacked_kl(mu0, chol0, log_det0, mu1, chol1, log_det1) -> np.ndarray:
     pair's divergence does not depend on what else is in the stack.
     """
     p = mu0.shape[-1]
-    rows = np.empty((max(len(mu0), len(mu1)), p + 1, p))
+    rows = np.empty((*np.broadcast_shapes(mu0.shape[:1], mu1.shape[:1]), p + 1, p))
     rows[:, :p] = chol0.swapaxes(-1, -2)
     rows[:, p] = mu0 - mu1
     d2 = _stacked_mahalanobis_sq(rows, np.zeros((len(rows), p)), chol1)

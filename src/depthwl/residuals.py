@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _fields
+from .gaussian import _check_real, _fields
 
 __all__ = [
     "DprConfig",
@@ -56,6 +56,7 @@ class DprConfig:
     alpha: float = 0.5
 
     def __post_init__(self):
+        _check_real("alpha", self.alpha)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
 
@@ -84,6 +85,9 @@ class WeightSpec:
     trim_xi: float = 1.0
 
     def __post_init__(self):
+        for name in (*_SHAPE_FIELDS, "trim_xi"):
+            if getattr(self, name) is not None:
+                _check_real(name, getattr(self, name))
         if self.family == "piecewise":
             if self.delta1 is None or self.delta2 is None or self.gamma is None:
                 raise ValueError("piecewise family requires delta1, delta2, gamma")

@@ -4,7 +4,10 @@ and residual-rate experiments.
 Datasets mix N_p(0, I) rows with round(eps * n) contaminated rows from
 N_p((mu_c, ..., mu_c), sigma_c^2 I).  Every replication derives its
 RNG stream from (seed, cell index, replication index), so reports are
-pure functions of their configuration.
+pure functions of their configuration.  A grid cell stacks the datasets
+of its replications and runs each layer once over the stack: the MLEs,
+the empirical depths, the root search and the error metrics.  Every
+replication's numbers are bit for bit those of fitting it alone.
 
 Error summaries: MSE averages the squared errors of the p + p(p+1)/2
 free parameters (location coordinates plus upper-triangle scatter
@@ -30,9 +33,12 @@ from .depth import (
     resolve_depth_method,
 )
 from .estimator import EstimatorConfig, _root_sets, _starts, fit
-# Not called here: perfbench's tracer patches root finding at this name.
+from .gaussian import GaussianParams, _check_integer, _fields, _log_det, _mle_fits
+from .gaussian import _stacked_kl, mle_fit
+# Not called here: perfbench's tracer patches root finding and the KL
+# divergence at these names.
 from .estimator import find_roots  # noqa: F401
-from .gaussian import GaussianParams, _check_integer, _fields, kl_gaussian, mle_fit
+from .gaussian import kl_gaussian  # noqa: F401
 from .initializers import InitSpec
 from .residuals import DprConfig, dpr
 
@@ -99,11 +105,25 @@ def mse(est: GaussianParams, truth: GaussianParams) -> float:
     """Mean squared error over the p + p(p+1)/2 free parameters."""
     if est.p != truth.p:
         raise ValueError("dimension mismatch")
-    p = est.p
-    iu = np.triu_indices(p)
-    err = float(np.sum((est.mu - truth.mu) ** 2))
-    err += float(np.sum((est.sigma[iu] - truth.sigma[iu]) ** 2))
+    return float(_stacked_mse(est.mu[None], est.sigma[None], truth)[0])
+
+
+def _stacked_mse(mu: np.ndarray, sigma: np.ndarray, truth: GaussianParams) -> np.ndarray:
+    """``mse`` of S estimates, locations ``mu`` (S, p) and scatters
+    ``sigma`` (S, p, p), against ``truth`` at once."""
+    p = truth.p
+    rows, cols = np.triu_indices(p)
+    err = np.sum((mu - truth.mu) ** 2, axis=1)
+    err += np.sum((sigma[:, rows, cols] - truth.sigma[rows, cols]) ** 2, axis=1)
     return err / (p + p * (p + 1) // 2)
+
+
+def _errors(mu, sigma, chol, log_det, truth: GaussianParams):
+    """MSE and KL divergence from ``truth`` of S estimates, given as
+    locations, scatters, their Cholesky factors and log-determinants."""
+    kl = _stacked_kl(mu, chol, log_det,
+                     truth.mu[None], truth.chol[None], np.array([truth.log_det]))
+    return _stacked_mse(mu, sigma, truth), kl
 
 
 @dataclass(frozen=True)
@@ -122,10 +142,12 @@ class GridConfig:
 
     def __post_init__(self):
         for name in ("dims", "size_factors", "epsilons", "mu_cs", "sigma_cs"):
-            vals = tuple(getattr(self, name))
-            object.__setattr__(self, name, vals)
+            vals = getattr(self, name)
+            if not isinstance(vals, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {vals!r}")
             if not vals:
                 raise ValueError(f"{name} must be nonempty")
+            object.__setattr__(self, name, tuple(vals))
         for name in ("dims", "size_factors"):
             for i, v in enumerate(getattr(self, name)):
                 _check_integer(f"{name}[{i}]", v, 1)
@@ -161,9 +183,12 @@ class GridConfig:
     def from_dict(cls, d: dict) -> "GridConfig":
         required = ("dims", "size_factors", "epsilons", "mu_cs", "sigma_cs", "reps", "seed")
         kw = dict(_fields(d, (*required, "estimator", "init"), required))
+
+        def floats(v):  # anything but a list is left to the constructor to reject
+            return tuple(float(x) for x in v) if isinstance(v, list) else v
+
         readers = {"estimator": EstimatorConfig.from_dict, "init": InitSpec.from_dict,
-                   **dict.fromkeys(("epsilons", "mu_cs", "sigma_cs"),
-                                   lambda v: tuple(float(x) for x in v))}
+                   **dict.fromkeys(("epsilons", "mu_cs", "sigma_cs"), floats)}
         for name, reader in readers.items():
             try:
                 if name in d:
@@ -241,60 +266,59 @@ class SimulationReport:
 
 
 def _run_cell(cfg: GridConfig, cell_id: int, cell) -> CellResult:
+    """The replications of one grid cell, each layer one stacked pass.
+
+    The datasets, each from its own RNG stream, are stacked as (R, n, p).
+    One ``_mle_fits`` call gives every MLE; a replication fails where
+    ``mle_fit`` would raise.  The rest go through one
+    ``empirical_depths_all`` call and one ``_root_sets`` solve; one fails
+    when its starts cannot be made or none of them converges.  The MLEs
+    and the selected roots of the replications left are scored against
+    the truth in one stacked MSE and one stacked KL call each.
+    """
     p, s, eps, mu_c, sigma_c = cell
     n = sample_size(p, s)
     truth = GaussianParams.standard(p)
     spec = ContaminationSpec(eps, mu_c, sigma_c)
-
-    wle_mse, wle_kl, mle_mse_v, mle_kl_v = [], [], [], []
-    failures = 0
-    retrieved = 0
-    # Replications that reach the solver: data, depths, starts and MLE.
-    solvable = []
-    for r in range(cfg.reps):
-        data, _ = generate_dataset(n, p, spec, [cfg.seed, cell_id, r, 0])
+    data = np.array([generate_dataset(n, p, spec, [cfg.seed, cell_id, r, 0])[0]
+                     for r in range(cfg.reps)])
+    mle_mu, mle_sigma, mle_chol = _mle_fits(data)
+    fitted = np.flatnonzero(~np.isnan(mle_chol).any(axis=(1, 2)))
+    emp_depths = empirical_depths_all(data[fitted], cfg.estimator.depth_method)
+    # Replications (positions in ``fitted``) whose starts could be made.
+    started, starts = [], []
+    for k, r in enumerate(fitted.tolist()):
         try:
-            mle = mle_fit(data)
-        except ValueError:
-            failures += 1
-            continue
-        try:
-            emp_depths = empirical_depths_all(data, cfg.estimator.depth_method)
             inits = cfg.init.make_inits(
-                data, emp_depths, truth=truth, seed_keys=[cell_id, r]
+                data[r], emp_depths[k], truth=truth, seed_keys=[cell_id, r]
             )
-            solvable.append((data, emp_depths, _starts(inits, p), mle))
+            starts.append(_starts(inits, p))
+            started.append(k)
         except ValueError:
-            failures += 1
-    # find_roots on every solvable replication, as one stack of starts.
-    root_sets = _root_sets(
-        np.array([s[0] for s in solvable]).reshape(-1, n, p),
-        np.array([s[1] for s in solvable]).reshape(-1, n),
-        [s[2] for s in solvable],
-        cfg.estimator,
+            pass
+    root_sets = _root_sets(data[fitted[started]], emp_depths[started], starts,
+                           cfg.estimator)
+    reps = fitted[[k for k, rs in zip(started, root_sets) if rs.best is not None]]
+    best = [rs.best.params for rs in root_sets if rs.best is not None]
+    mle_mse, mle_kl = _errors(mle_mu[reps], mle_sigma[reps], mle_chol[reps],
+                              _log_det(mle_chol[reps]), truth)
+    wle_mse, wle_kl = _errors(
+        np.array([g.mu for g in best]).reshape(-1, p),
+        np.array([g.sigma for g in best]).reshape(-1, p, p),
+        np.array([g.chol for g in best]).reshape(-1, p, p),
+        np.array([g.log_det for g in best]),
+        truth,
     )
-    for (_, _, _, mle), roots in zip(solvable, root_sets):
-        best = roots.best
-        if best is None:
-            failures += 1
-            continue
-        m_mse, m_kl = mse(mle, truth), kl_gaussian(mle, truth)
-        w_mse, w_kl = mse(best.params, truth), kl_gaussian(best.params, truth)
-        mle_mse_v.append(m_mse)
-        mle_kl_v.append(m_kl)
-        wle_mse.append(w_mse)
-        wle_kl.append(w_kl)
-        if w_kl < 0.5 * m_kl:
-            retrieved += 1
 
     def _mean(v):
-        return float(np.mean(v)) if v else float("nan")
+        return float(np.mean(v)) if len(v) else float("nan")
 
     return CellResult(
         p=p, s=s, n=n, epsilon=eps, mu_c=mu_c, sigma_c=sigma_c,
-        reps=cfg.reps, failures=failures, retrieved=retrieved,
+        reps=cfg.reps, failures=cfg.reps - len(best),
+        retrieved=int(np.count_nonzero(wle_kl < 0.5 * mle_kl)),
         mean_mse=_mean(wle_mse), mean_kl=_mean(wle_kl),
-        mle_mean_mse=_mean(mle_mse_v), mle_mean_kl=_mean(mle_kl_v),
+        mle_mean_mse=_mean(mle_mse), mle_mean_kl=_mean(mle_kl),
     )
 
 

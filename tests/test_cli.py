@@ -365,6 +365,13 @@ class TestSimulateCommand:
         ({"init": {"strategy": "subsample",
                    "params_list": [GaussianParams.standard(2).to_dict()]}}, "params_list"),
         ({"estimator": {"weights": WEIGHTS, "max_iter": 10.5}}, "max_iter"),
+        ({"dims": 3}, "dims must be a list"),
+        ({"epsilons": 0.2}, "epsilons must be a list"),
+        ({"estimator": {"weights": WEIGHTS, "tol": "x"}}, "tol must be a real number"),
+        ({"estimator": {"weights": {**WEIGHTS, "alpha": "0.5"}}},
+         "alpha must be a real number"),
+        ({"estimator": {"weights": {**WEIGHTS, "delta2": "9"}}},
+         "delta2 must be a real number"),
     ])
     def test_bad_value_exits_1_at_load(self, tmp_path, capsys, monkeypatch, overrides, field):
         ran = []

@@ -9,8 +9,59 @@ from depthwl import (
     InitSpec,
     depth_init,
     elemental_subsample_size,
+    mle_fit,
     subsample_inits,
 )
+from depthwl import initializers
+from depthwl.depth import _rng
+from depthwl.gaussian import SingularCovarianceError
+
+
+def reference_subsample_inits(data, B, seed, streams=_rng):
+    """Draw by draw through ``mle_fit``: each draw redrawn from its own
+    stream until nonsingular, every attempt spending the global budget."""
+    n, p = data.shape
+    size = elemental_subsample_size(p)
+    budget = 100 * B
+    inits = []
+    for b in range(B):
+        rng = streams(seed, b)
+        while True:
+            if budget <= 0:
+                raise ValueError("too many singular subsamples; data may be degenerate")
+            budget -= 1
+            try:
+                inits.append(mle_fit(data[rng.choice(n, size=size, replace=False)]))
+            except SingularCovarianceError:
+                continue
+            break
+    return inits
+
+
+class ScriptedStream:
+    """Stands in for a draw's RNG stream: its subsamples of
+    ``SCRIPT_DATA`` follow ``script``, one letter per attempt, s for a
+    singular one, o for one whose covariance overflows and g for a good
+    one; past the script every subsample is good."""
+
+    ROWS = {"s": [0, 1, 2], "o": [0, 5, 6], "g": [0, 3, 4]}
+
+    def __init__(self, script):
+        self.script = iter(script)
+
+    def choice(self, n, size, replace):
+        return np.array(self.ROWS[next(self.script, "g")])
+
+
+SCRIPT_DATA = np.array([[0.0], [0.0], [0.0], [1.0], [2.0], [1e200], [-1e200]])
+
+
+def outcome(make):
+    """The bits of every start ``make`` returns, or its error message."""
+    try:
+        return [(g.mu.tobytes(), g.sigma.tobytes(), g.chol.tobytes()) for g in make()]
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestSubsampleSize:
@@ -66,6 +117,46 @@ class TestSubsampleInits:
         data = np.random.default_rng(5).standard_normal((30, 2)) * 1e160
         with pytest.raises(ValueError, match="overflows"):
             subsample_inits(data, 3, seed=0)
+
+    def test_equals_draw_by_draw_reference(self):
+        # Continuous and tie-heavy samples, mostly duplicate rows (many
+        # redraws, sometimes past the budget) and a huge row (overflow,
+        # which may come before or after the budget runs out).
+        rng = np.random.default_rng(6)
+        outcomes = []
+        for p in (1, 2, 3):
+            dup = np.vstack([np.zeros((40, p)), rng.standard_normal((p + 2, p))])
+            huge = dup.copy()
+            huge[-1] = 1e200
+            for data, B in [(rng.standard_normal((25, p)), 40),
+                            (rng.integers(-1, 2, (20, p)).astype(float), 30),
+                            (dup, 3), (huge, 3), (np.ones((12, p)), 2)]:
+                for seed in range(6):
+                    want = outcome(lambda: reference_subsample_inits(data, B, [seed, 1]))
+                    assert outcome(lambda: subsample_inits(data, B, [seed, 1])) == want
+                    outcomes.append(want if isinstance(want, str) else "ok")
+        assert {"ok", "sample covariance overflows float64; rescale the data",
+                "too many singular subsamples; data may be degenerate"} <= set(outcomes)
+
+    @pytest.mark.parametrize("scripts, want", [
+        (("s" * 198, ""), 2),
+        (("s" * 199, ""), "too many singular"),  # the second draw's first is the 201st
+        (("", "s" * 198), 2),
+        (("", "s" * 199), "too many singular"),
+        (("", "s" * 198 + "o"), "overflows"),  # the 200th attempt
+        (("", "s" * 199 + "o"), "too many singular"),  # the 201st attempt
+        (("o", "s" * 500), "overflows"),
+        (("s" * 300, "o"), "too many singular"),
+    ])
+    def test_budget_spent_in_draw_order(self, monkeypatch, scripts, want):
+        # Two draws share a budget of 200 attempts.
+        def streams(seed, b):
+            return ScriptedStream(scripts[b])
+
+        monkeypatch.setattr(initializers, "_rng", streams)
+        got = outcome(lambda: subsample_inits(SCRIPT_DATA, 2, 0))
+        assert got == outcome(lambda: reference_subsample_inits(SCRIPT_DATA, 2, 0, streams))
+        assert len(got) == want if isinstance(want, int) else want in got
 
     def test_every_init_is_valid_params(self):
         data = np.random.default_rng(4).standard_normal((40, 3))

@@ -1,5 +1,6 @@
 """Property-based invariants: exact 2-D depth against an integer brute
-force and the scalar sweep, projection depth against the per-direction
+force and the scalar sweep, stacked empirical depth against one call
+per sample, projection depth against the per-direction
 loop and against exact depth, the packed-key ranking against the tie
 rule, the residual lower bound, trimming and
 its median against ``np.median``, row-wise trimming against the 1-D
@@ -83,7 +84,7 @@ def test_exact_2d_matches_integer_brute_force(points):
 @given(INT_POINTS)
 def test_batched_2d_sweep_matches_scalar_sweep(points):
     points = points.astype(np.float64)
-    got = depth._exact_counts_2d(points, GRID_QUERIES.astype(np.float64))
+    got = depth._exact_counts_2d(points[None], GRID_QUERIES[None].astype(np.float64))[0]
     want = [depth._exact_count_2d(points, q) for q in GRID_QUERIES]
     assert np.array_equal(got, want)
     assert np.array_equal(got, brute_force_counts_2d(GRID_QUERIES, points))
@@ -91,13 +92,15 @@ def test_batched_2d_sweep_matches_scalar_sweep(points):
 
 @pytest.mark.parametrize("batch", [1, 7, 1 << 16])
 def test_batched_2d_sweep_chunks(monkeypatch, batch):
-    # Continuous data, self-depth and separate queries, across query chunks.
+    # Continuous data, self-depth and separate queries, across query chunks
+    # that start and end inside a dataset's queries and span several datasets.
     monkeypatch.setattr(depth, "_BATCH", batch)
     rng = np.random.default_rng(batch)
-    data = rng.standard_normal((40, 2))
-    for queries in (data, rng.standard_normal((25, 2))):
+    data = rng.standard_normal((3, 40, 2))
+    for queries in (data, rng.standard_normal((3, 25, 2))):
         got = depth._exact_counts_2d(data, queries)
-        assert np.array_equal(got, [depth._exact_count_2d(data, q) for q in queries])
+        want = [[depth._exact_count_2d(x, q) for q in qs] for x, qs in zip(data, queries)]
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -116,9 +119,49 @@ def test_batched_2d_sweep_chunks(monkeypatch, batch):
 def test_batched_2d_sweep_ties(data, queries, counts):
     data = np.array(data)
     queries = data if queries is None else np.array(queries)
-    got = depth._exact_counts_2d(data, queries)
+    got = depth._exact_counts_2d(data[None], queries[None])[0]
     assert np.array_equal(got, counts)
     assert np.array_equal(got, [depth._exact_count_2d(data, q) for q in queries])
+
+
+@st.composite
+def depth_stacks(draw):
+    """A stack of D samples (D, n, p) of small integers, so with exact
+    ties and duplicate rows, and a depth method that applies at p.  Some
+    samples are scaled past ``depth._HUGE`` or to where a further
+    ``depth._SHRINK`` would underflow, so that each sample must decide
+    its own scaling."""
+    d, n, p = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    rows = draw(hnp.arrays(np.int64, (d, n), elements=st.integers(0, 5)))
+    values = draw(hnp.arrays(np.int64, (d, 6, p), elements=st.integers(-3, 3)))
+    stack = np.take_along_axis(values, rows[..., None], axis=1).astype(np.float64)
+    scales = draw(st.lists(st.sampled_from([1.0, 1.0, 2.0**1000, 2.0**-1060]),
+                           min_size=d, max_size=d))
+    stack *= np.array(scales)[:, None, None]
+    kinds = ["projection"] + ["exact"] * (p <= 2)
+    kind = draw(st.sampled_from(kinds))
+    method = DepthMethod.exact() if kind == "exact" else DepthMethod.projection(40, seed=d)
+    return stack, method
+
+
+@PROPERTY
+@given(depth_stacks())
+def test_stacked_depths_match_per_sample_calls(case):
+    stack, method = case
+    got = empirical_depths_all(stack, method)
+    want = np.array([empirical_depths_all(x, method) for x in stack])
+    assert got.shape == stack.shape[:2]
+    assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(depth_stacks(), st.data())
+def test_stacked_depths_reject_one_non_finite_sample(case, draw):
+    stack, method = case
+    index = tuple(draw.draw(st.integers(0, k - 1)) for k in stack.shape)
+    stack[index] = draw.draw(st.sampled_from([np.nan, np.inf]))
+    with pytest.raises(ValueError, match="finite"):
+        empirical_depths_all(stack, method)
 
 
 def reference_projection_depths(data, queries, n_directions, seed):

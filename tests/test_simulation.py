@@ -9,6 +9,7 @@ import pytest
 from depthwl import (
     ContaminationSpec,
     DepthMethod,
+    DprConfig,
     EstimatorConfig,
     GaussianParams,
     GridConfig,
@@ -138,6 +139,36 @@ class TestGridConfigDict:
         with pytest.raises(ValueError, match=r"unknown fields: \['inti'\]"):
             GridConfig.from_dict(blob)
 
+    @pytest.mark.parametrize("name", ["dims", "size_factors", "epsilons", "mu_cs",
+                                      "sigma_cs"])
+    def test_scalar_list_field_named(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be a list, got 3"):
+            small_grid(**{name: 3})
+        blob = small_grid().to_dict()
+        blob[name] = 3
+        with pytest.raises(ValueError, match=f"invalid field: {name} must be a list"):
+            GridConfig.from_dict(blob)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: EstimatorConfig(tol="1e-8"), "tol"),
+        (lambda: DprConfig("0.5"), "alpha"),
+        (lambda: DprConfig(True), "alpha"),
+        (lambda: WeightSpec.piecewise("2", 9.0, 0.3), "delta1"),
+        (lambda: WeightSpec.piecewise(2.0, [9.0], 0.3), "delta2"),
+        (lambda: WeightSpec.piecewise(2.0, 9.0, "0.3"), "gamma"),
+        (lambda: WeightSpec.smooth_exp("0.1"), "a"),
+        (lambda: WeightSpec.smooth_exp(0.1, trim_xi="big"), "trim_xi"),
+    ], ids=["tol", "alpha", "alpha-bool", "delta1", "delta2", "gamma", "a", "trim_xi"])
+    def test_non_real_field_named(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            make()
+
+    def test_non_real_field_named_in_json(self):
+        blob = small_grid().to_dict()
+        blob["estimator"]["tol"] = "x"
+        with pytest.raises(ValueError, match=r"estimator \(tol must be a real number"):
+            GridConfig.from_dict(blob)
+
 
 class TestRunGrid:
     def test_unit_weights_single_rep_equals_mle(self):
@@ -208,18 +239,20 @@ class TestRunGrid:
         assert run_grid(custom).to_csv() == run_grid(small_grid()).to_csv()
 
     def test_depth_start_one_depth_pass(self, monkeypatch):
-        calls = []
-        real = depth.empirical_depths
+        # Datasets reaching the depth layer, per call: one stacked call per
+        # cell, and no dataset again for its depth start.
+        datasets = []
+        real = depth._stacked_depths
 
-        def counting(queries, data, method):
-            calls.append(method)
-            return real(queries, data, method)
+        def counting(data, queries, method):
+            datasets.append(len(data))
+            return real(data, queries, method)
 
-        monkeypatch.setattr(depth, "empirical_depths", counting)
+        monkeypatch.setattr(depth, "_stacked_depths", counting)
         cfg = small_grid(epsilons=(0.0, 0.2), reps=3,
                          init=InitSpec("depth_deterministic"))
         report = run_grid(cfg)
-        assert len(calls) == 2 * 3
+        assert datasets == [3, 3]
         monkeypatch.undo()
         # The cells of a depth start and a fit that each compute the depths.
         for cell_id, cell in enumerate(report.cells):
@@ -238,6 +271,70 @@ class TestRunGrid:
         report = run_grid(cfg)
         for cell in report.cells:
             assert 0 <= cell.retrieved <= cell.reps
+
+
+def reference_cell(cfg, cell_id, cell):
+    """The CSV row of one grid cell, replication by replication through
+    the public entry points, as the stacked cell must reproduce it."""
+    p, s, eps, mu_c, sigma_c = cell
+    n = sample_size(p, s)
+    truth = GaussianParams.standard(p)
+    spec = ContaminationSpec(eps, mu_c, sigma_c)
+    wle_mse, wle_kl, mle_mse, mle_kl = [], [], [], []
+    for r in range(cfg.reps):
+        data, _ = generate_dataset(n, p, spec, [cfg.seed, cell_id, r, 0])
+        try:
+            mle = mle_fit(data)
+            emp = empirical_depths_all(data, cfg.estimator.depth_method)
+            inits = cfg.init.make_inits(data, emp, truth=truth, seed_keys=[cell_id, r])
+            best = find_roots(data, cfg.estimator, inits, emp).best
+        except ValueError:
+            continue
+        if best is not None:
+            mle_mse.append(mse(mle, truth))
+            mle_kl.append(kl_gaussian(mle, truth))
+            wle_mse.append(mse(best.params, truth))
+            wle_kl.append(kl_gaussian(best.params, truth))
+
+    def mean(v):
+        return float(np.mean(v)) if v else float("nan")
+
+    retrieved = sum(w < 0.5 * m for w, m in zip(wle_kl, mle_kl))
+    return [p, s, n, eps, mu_c, sigma_c, cfg.reps, cfg.reps - len(wle_mse), retrieved,
+            mean(wle_mse), mean(wle_kl), mean(mle_mse), mean(mle_kl)]
+
+
+class TestStackedCells:
+    """``run_grid`` stacks each cell's replications; every number must be
+    that of running them one at a time, NaN where no replication is left."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(init=InitSpec("truth")),
+        dict(init=InitSpec("subsample", b=6, seed=4)),
+        dict(init=InitSpec("depth_deterministic")),
+        dict(mu_cs=(1e160,), epsilons=(0.2,)),
+        dict(size_factors=(1,), init=InitSpec("subsample", b=5)),
+        dict(estimator=EstimatorConfig(max_iter=1, tol=1e-300)),
+    ], ids=["truth", "subsample", "depth", "mle-overflow", "below-elemental-size",
+            "no-convergence"])
+    def test_cells_equal_replication_loop(self, overrides):
+        cfg = small_grid(**{"dims": (1, 2, 3), "epsilons": (0.0, 0.3), "reps": 3,
+                            **overrides})
+        report = run_grid(cfg)
+        for cell_id, (cell, got) in enumerate(zip(cfg.cells(), report.cells)):
+            want = reference_cell(cfg, cell_id, cell)
+            assert [repr(v) for v in got.row()] == [repr(v) for v in want]
+
+    def test_mixed_failures_within_a_cell(self):
+        # Three steps from the truth: some replications of a cell converge
+        # and the others fail.
+        cfg = small_grid(dims=(1, 2), size_factors=(2,), epsilons=(0.0, 0.5), reps=12,
+                         estimator=EstimatorConfig(max_iter=3))
+        report = run_grid(cfg)
+        assert any(0 < c.failures < c.reps for c in report.cells)
+        for cell_id, (cell, got) in enumerate(zip(cfg.cells(), report.cells)):
+            assert [repr(v) for v in got.row()] == \
+                [repr(v) for v in reference_cell(cfg, cell_id, cell)]
 
 
 class TestEfficiency:
