@@ -42,7 +42,6 @@ from .initializers import (
     subsample_inits,
 )
 from .residuals import (
-    DprConfig,
     WeightClassReport,
     WeightSpec,
     apply_trim,
@@ -75,7 +74,6 @@ __all__ = [
     "empirical_depths_all",
     "population_depth_gaussian",
     "resolve_depth_method",
-    "DprConfig",
     "WeightSpec",
     "WeightClassReport",
     "dpr",

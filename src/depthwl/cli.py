@@ -20,7 +20,7 @@ from .depth import DepthMethod, empirical_depths
 from .estimator import EstimatorConfig, find_roots
 from .gaussian import GaussianParams
 from .initializers import depth_init, subsample_inits
-from .residuals import DprConfig, WeightSpec
+from .residuals import _DEFAULT_ALPHA, WeightSpec
 from .simulation import GridConfig, breakdown_experiment, run_grid
 
 __all__ = ["main", "entry", "load_csv_dataset", "CsvError"]
@@ -92,8 +92,8 @@ def _add_depth_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.5,
-                        help="residual exponent in (0, 1] (default 0.5)")
+    parser.add_argument("--alpha", type=float, default=_DEFAULT_ALPHA,
+                        help=f"residual exponent in (0, 1] (default {_DEFAULT_ALPHA})")
     parser.add_argument("--family", choices=["piecewise", "smooth"],
                         default="piecewise")
     parser.add_argument("--delta1", type=float, default=None)
@@ -114,7 +114,7 @@ def _weight_spec(args) -> WeightSpec:
     not apply to the family."""
     spec = WeightSpec.optimal(args.alpha)
     if args.family == "smooth":
-        spec = WeightSpec.smooth_exp(_SMOOTH_A, trim_xi=spec.trim_xi)
+        spec = WeightSpec.smooth_exp(_SMOOTH_A, trim_xi=spec.trim_xi, alpha=spec.alpha)
     flags = {"delta1": args.delta1, "delta2": args.delta2,
              "gamma": args.gamma, "a": args.a, "trim_xi": args.xi}
     return dataclasses.replace(
@@ -128,7 +128,6 @@ def _depth_method(args) -> DepthMethod:
 
 def _estimator_config(args) -> EstimatorConfig:
     return EstimatorConfig(
-        dpr=DprConfig(args.alpha),
         weights=_weight_spec(args),
         depth_method=_depth_method(args),
         scatter_norm="literal-1-over-n" if args.scatter_norm == "n"

@@ -47,8 +47,7 @@ from .gaussian import _fields, _log_det, _stacked_kl, _stacked_mahalanobis_sq
 from .gaussian import weighted_location_scatter
 # Not called here: perfbench's tracer patches the KL divergence at this name.
 from .gaussian import kl_gaussian  # noqa: F401
-from .residuals import DprConfig, WeightSpec, apply_trim, dpr, weight
-from .residuals import weight_config_from_dict, weight_config_to_dict
+from .residuals import WeightSpec, apply_trim, dpr, weight
 
 __all__ = [
     "EstimatorConfig",
@@ -78,12 +77,13 @@ _MAX_ITER_MESSAGE = "maximum iterations reached without convergence"
 class EstimatorConfig:
     """Everything that defines one weighted-likelihood estimator.
 
-    The default ``depth_method`` is ``auto``: the exact algorithm for
-    p <= 2 and the projection approximation otherwise.
+    ``weights`` is the weighting scheme, residual exponent included; the
+    default is the calibrated ``WeightSpec.optimal()``.  The default
+    ``depth_method`` is ``auto``: the exact algorithm for p <= 2 and the
+    projection approximation otherwise.
     """
 
-    dpr: DprConfig = DprConfig(0.5)
-    weights: WeightSpec = field(default_factory=lambda: WeightSpec.optimal(0.5))
+    weights: WeightSpec = field(default_factory=WeightSpec.optimal)
     depth_method: DepthMethod = DepthMethod()
     scatter_norm: str = "literal-1-over-n"
     tol: float = 1e-8
@@ -99,7 +99,7 @@ class EstimatorConfig:
 
     def to_dict(self) -> dict:
         return {
-            "weights": weight_config_to_dict(self.weights, self.dpr),
+            "weights": self.weights.to_dict(),
             "depth_method": self.depth_method.to_dict(),
             "scatter_norm": self.scatter_norm,
             "tol": self.tol,
@@ -111,7 +111,7 @@ class EstimatorConfig:
         d = _fields(d, ("weights", "depth_method", "scatter_norm", "tol", "max_iter"),
                     required=("weights",))
         kw = {k: d[k] for k in ("scatter_norm", "tol", "max_iter") if k in d}
-        kw["weights"], kw["dpr"] = weight_config_from_dict(d["weights"])
+        kw["weights"] = WeightSpec.from_dict(d["weights"])
         if d.get("depth_method") is not None:
             kw["depth_method"] = DepthMethod.from_dict(d["depth_method"])
         return cls(**kw)
@@ -207,7 +207,7 @@ class Step(NamedTuple):
 
 def _residuals_weights(x, mu, chol, emp_depths, cfg):
     d_model = _model_depth(_stacked_mahalanobis_sq(x, mu, chol))
-    tau = dpr(emp_depths, d_model, cfg.dpr)
+    tau = dpr(emp_depths, d_model, cfg.weights.alpha)
     w = apply_trim(tau, weight(tau, cfg.weights), cfg.weights.trim_xi)
     return tau, w
 

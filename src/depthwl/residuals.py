@@ -20,16 +20,16 @@ import numpy as np
 from .gaussian import _check_real, _fields
 
 __all__ = [
-    "DprConfig",
     "WeightSpec",
     "dpr",
     "weight",
     "apply_trim",
     "check_weight_class",
     "WeightClassReport",
-    "weight_config_to_dict",
-    "weight_config_from_dict",
 ]
+
+# The residual exponent alpha wherever none is given.
+_DEFAULT_ALPHA = 0.5
 
 # Weight parameters minimizing the 95% error quantile in the original
 # calibration study, keyed by the residual exponent alpha:
@@ -44,26 +44,21 @@ _OPTIMAL = {
 _SHAPE_FIELDS = ("delta1", "delta2", "gamma", "a")
 
 
-@dataclass(frozen=True)
-class DprConfig:
-    """Exponent of the model-depth denominator.
-
-    Values in (0, 1] are accepted.  General theory covers alpha < 3/4;
-    for the Gaussian family every moment is finite and exponents up to
-    1 remain valid.
-    """
-
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        _check_real("alpha", self.alpha)
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
+def _check_alpha(alpha) -> None:
+    """Raise ValueError unless ``alpha`` is a real number in (0, 1]."""
+    _check_real("alpha", alpha)
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight family plus trimming constant.
+    """Residual exponent, weight family and trimming constant.
+
+    ``alpha`` is the exponent of the model depth in the residual (see
+    ``dpr``), in (0, 1]: general theory covers alpha < 3/4; for the
+    Gaussian family every moment is finite and exponents up to 1 remain
+    valid.
 
     piecewise: w(tau) = (h(tau) + gamma) / (1 + gamma) with h equal to
     1 up to delta1, decreasing linearly to 0 at delta2, and 0 beyond;
@@ -83,6 +78,7 @@ class WeightSpec:
     gamma: float | None = None
     a: float | None = None
     trim_xi: float = 1.0
+    alpha: float = _DEFAULT_ALPHA
 
     def __post_init__(self):
         for name in (*_SHAPE_FIELDS, "trim_xi"):
@@ -106,43 +102,67 @@ class WeightSpec:
             raise ValueError(f"unknown weight family: {self.family!r}")
         if not self.trim_xi > 0.0:
             raise ValueError("trim_xi must be positive")
+        _check_alpha(self.alpha)
 
     @classmethod
     def piecewise(cls, delta1: float, delta2: float, gamma: float,
-                  trim_xi: float = 1.0) -> "WeightSpec":
+                  trim_xi: float = 1.0, alpha: float = _DEFAULT_ALPHA) -> "WeightSpec":
         return cls("piecewise", delta1=delta1, delta2=delta2, gamma=gamma,
-                   trim_xi=trim_xi)
+                   trim_xi=trim_xi, alpha=alpha)
 
     @classmethod
-    def smooth_exp(cls, a: float, trim_xi: float = 1.0) -> "WeightSpec":
-        return cls("smooth_exp", a=a, trim_xi=trim_xi)
+    def smooth_exp(cls, a: float, trim_xi: float = 1.0,
+                   alpha: float = _DEFAULT_ALPHA) -> "WeightSpec":
+        return cls("smooth_exp", a=a, trim_xi=trim_xi, alpha=alpha)
 
     @classmethod
-    def optimal(cls, alpha: float) -> "WeightSpec":
+    def optimal(cls, alpha: float = _DEFAULT_ALPHA) -> "WeightSpec":
         """Calibrated piecewise parameters for the given exponent.
 
         Exact table entries exist for alpha in {0.25, 0.5, 0.75, 1};
-        other exponents use the nearest tabulated value.
+        other exponents keep their own value and take the parameters of
+        the nearest tabulated one.
         """
+        _check_alpha(alpha)
         key = min(_OPTIMAL, key=lambda t: abs(t - alpha))
         gamma, d1, d2, xi = _OPTIMAL[key]
-        return cls.piecewise(d1, d2, gamma, trim_xi=xi)
+        return cls.piecewise(d1, d2, gamma, trim_xi=xi, alpha=alpha)
+
+    def to_dict(self) -> dict:
+        """Wire format: family, trimming constant, exponent, then the
+        shape fields that apply to the family."""
+        d = {"family": self.family, "xi": self.trim_xi, "alpha": self.alpha}
+        d.update((k, getattr(self, k)) for k in _SHAPE_FIELDS if getattr(self, k) is not None)
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "WeightSpec":
+        """Inverse of ``to_dict``; the constructor judges every value.
+        A shape field that is null counts as absent, and ``xi`` null or
+        ``"inf"`` disables trimming.  Any other key raises ValueError."""
+        d = _fields(d, ("family", "xi", "alpha", *_SHAPE_FIELDS), required=("family", "alpha"))
+        kw = {k: d[k] for k in _SHAPE_FIELDS if d.get(k) is not None}
+        if "xi" in d:
+            kw["trim_xi"] = float("inf") if d["xi"] in ("inf", None) else d["xi"]
+        return cls(d["family"], alpha=d["alpha"], **kw)
 
 
-def dpr(d_emp, d_model, cfg: DprConfig):
+def dpr(d_emp, d_model, alpha: float):
     """Depth Pearson residual (d_emp - d_model) / d_model**alpha.
 
+    ``alpha`` must lie in (0, 1], as ``WeightSpec`` requires.
     ``d_model`` must be strictly positive: the Gaussian population
     depth is positive everywhere, so a nonpositive value signals an
     upstream bug rather than a data condition.
     """
+    _check_alpha(alpha)
     d_emp = np.asarray(d_emp, dtype=np.float64)
     d_model = np.asarray(d_model, dtype=np.float64)
     if np.any(d_model <= 0.0):
         raise ValueError("model depth must be strictly positive")
     if np.any(d_emp < 0.0):
         raise ValueError("empirical depth must be nonnegative")
-    out = (d_emp - d_model) / d_model**cfg.alpha
+    out = (d_emp - d_model) / d_model**alpha
     return float(out) if out.ndim == 0 else out
 
 
@@ -258,21 +278,3 @@ def check_weight_class(spec: WeightSpec, grid) -> WeightClassReport:
         passes_smooth_conditions=passes,
     )
 
-
-def weight_config_to_dict(spec: WeightSpec, cfg: DprConfig) -> dict:
-    """Wire format: weight family, trimming constant and exponent."""
-    d = {"family": spec.family, "xi": spec.trim_xi, "alpha": cfg.alpha}
-    d.update((k, getattr(spec, k)) for k in _SHAPE_FIELDS if getattr(spec, k) is not None)
-    return d
-
-
-def weight_config_from_dict(d: dict) -> tuple[WeightSpec, DprConfig]:
-    """Inverse of ``weight_config_to_dict``.  The shape fields present
-    (null counts as absent) go to ``WeightSpec``, which rejects an
-    unknown family and a missing or inapplicable field.  ``xi`` null or
-    ``"inf"`` disables trimming.  Any other key raises ValueError."""
-    d = _fields(d, ("family", "xi", "alpha", *_SHAPE_FIELDS), required=("family", "alpha"))
-    kw = {k: d[k] for k in _SHAPE_FIELDS if d.get(k) is not None}
-    if "xi" in d:
-        kw["trim_xi"] = float("inf") if d["xi"] in ("inf", None) else d["xi"]
-    return WeightSpec(d["family"], **kw), DprConfig(d["alpha"])

@@ -40,7 +40,7 @@ from .gaussian import _stacked_kl, mle_fit
 from .estimator import find_roots  # noqa: F401
 from .gaussian import kl_gaussian  # noqa: F401
 from .initializers import InitSpec
-from .residuals import DprConfig, dpr
+from .residuals import dpr
 
 __all__ = [
     "ContaminationSpec",
@@ -456,7 +456,6 @@ def residual_rate_experiment(
     size to the DepthMethod to use.
     """
     truth = GaussianParams.standard(p)
-    cfg = DprConfig(alpha)
     spec = ContaminationSpec(0.0)
     out = {}
     for n in sizes:
@@ -465,7 +464,7 @@ def residual_rate_experiment(
             data, _ = generate_dataset(n, p, spec, [seed, n, r])
             d_emp = empirical_depths_all(data, method_for_size(n))
             d_model = population_depth_gaussian(data, truth)
-            tau = dpr(d_emp, d_model, cfg)
+            tau = dpr(d_emp, d_model, alpha)
             maxima.append(float(np.abs(tau).max()))
         out[n] = float(np.median(maxima))
     return out

@@ -10,7 +10,6 @@ import pytest
 
 from depthwl import (
     DepthMethod,
-    DprConfig,
     EstimatorConfig,
     GaussianParams,
     RootSet,
@@ -199,7 +198,6 @@ class TestFitWeightFlags:
     def test_alpha_selects_calibrated_table(self, monkeypatch, clean_csv, alpha):
         cfg = fit_config(monkeypatch, clean_csv, "--alpha", str(alpha))
         assert cfg == EstimatorConfig(
-            dpr=DprConfig(alpha),
             weights=WeightSpec.optimal(alpha),
             depth_method=DepthMethod(),
         )
@@ -208,8 +206,7 @@ class TestFitWeightFlags:
         cfg = fit_config(
             monkeypatch, clean_csv, "--family", "smooth", "--alpha", "0.75"
         )
-        assert cfg.weights == WeightSpec.smooth_exp(0.05, trim_xi=5.0)
-        assert cfg.dpr == DprConfig(0.75)
+        assert cfg.weights == WeightSpec.smooth_exp(0.05, trim_xi=5.0, alpha=0.75)
 
     def test_overrides_applied(self, monkeypatch, clean_csv):
         cfg = fit_config(

@@ -7,7 +7,6 @@ import pytest
 
 from depthwl import (
     DepthMethod,
-    DprConfig,
     EstimatorConfig,
     GaussianParams,
     WeightSpec,
@@ -264,8 +263,7 @@ class TestConfigValidation:
         for method in (DepthMethod.projection(500, seed=3), DepthMethod("auto", 7, 3),
                        DepthMethod()):
             cfg = EstimatorConfig(
-                dpr=DprConfig(0.25),
-                weights=WeightSpec.smooth_exp(0.1, trim_xi=2.0),
+                weights=WeightSpec.smooth_exp(0.1, trim_xi=2.0, alpha=0.25),
                 depth_method=method,
                 scatter_norm="sum-of-weights",
             )

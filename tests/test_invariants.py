@@ -6,7 +6,6 @@ import numpy as np
 
 from depthwl import (
     DepthMethod,
-    DprConfig,
     EstimatorConfig,
     GaussianParams,
     GridConfig,
@@ -60,9 +59,7 @@ class TestModelWeights:
 class TestEfficiencyBrackets:
     def test_univariate_quarter_alpha(self):
         # clean-model efficiency for p=1, s=5, alpha=0.25 sits near 1
-        est = EstimatorConfig(
-            dpr=DprConfig(0.25), weights=WeightSpec.optimal(0.25)
-        )
+        est = EstimatorConfig(weights=WeightSpec.optimal(0.25))
         cfg = GridConfig(
             dims=(1,), size_factors=(5,), epsilons=(0.0,),
             mu_cs=(0.0,), sigma_cs=(1.0,), reps=100, seed=77,

@@ -19,7 +19,6 @@ from hypothesis.extra import numpy as hnp
 
 from depthwl import (
     DepthMethod,
-    DprConfig,
     EstimatorConfig,
     GaussianParams,
     GridConfig,
@@ -301,7 +300,7 @@ def test_projection_never_below_exact(p, n, seed, integer):
     st.floats(0.0, 1.0, exclude_min=True),
 )
 def test_residual_at_least_minus_one(d_emp, d_model, alpha):
-    assert dpr(d_emp, d_model, DprConfig(alpha)) >= -1.0
+    assert dpr(d_emp, d_model, alpha) >= -1.0
 
 
 @PROPERTY
@@ -443,17 +442,17 @@ DEPTH_METHODS = st.builds(
 
 WEIGHTS = st.one_of(
     st.builds(
-        lambda d1, width, gamma, xi: WeightSpec.piecewise(d1, d1 + width, gamma, trim_xi=xi),
+        lambda d1, width, gamma, xi, alpha: WeightSpec.piecewise(
+            d1, d1 + width, gamma, trim_xi=xi, alpha=alpha),
         st.floats(0.1, 5), st.floats(0.1, 10), st.floats(0, 1),
-        st.one_of(st.floats(0.1, 10), st.just(math.inf)),
+        st.one_of(st.floats(0.1, 10), st.just(math.inf)), st.floats(0.01, 1),
     ),
-    st.builds(lambda a, xi: WeightSpec.smooth_exp(a, trim_xi=xi), st.floats(0, 1),
-              st.floats(0.1, 10)),
+    st.builds(lambda a, xi, alpha: WeightSpec.smooth_exp(a, trim_xi=xi, alpha=alpha),
+              st.floats(0, 1), st.floats(0.1, 10), st.floats(0.01, 1)),
 )
 
 ESTIMATORS = st.builds(
     EstimatorConfig,
-    dpr=st.builds(DprConfig, st.floats(0.01, 1)),
     weights=WEIGHTS,
     depth_method=DEPTH_METHODS,
     scatter_norm=st.sampled_from(["sum-of-weights", "literal-1-over-n"]),

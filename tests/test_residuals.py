@@ -1,19 +1,18 @@
 """Depth Pearson residuals, weight families, trimming, conformance."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from depthwl import (
-    DprConfig,
     WeightSpec,
     apply_trim,
     check_weight_class,
     dpr,
     weight,
 )
-from depthwl.residuals import weight_config_from_dict, weight_config_to_dict
 
 SPECS = [
     WeightSpec.piecewise(2.0, 9.0, 0.3),
@@ -27,13 +26,13 @@ SPECS = [
 
 class TestDpr:
     def test_zero_when_depths_match(self):
-        assert dpr(0.3, 0.3, DprConfig(0.5)) == 0.0
+        assert dpr(0.3, 0.3, 0.5) == 0.0
 
     def test_half_power_example(self):
-        assert dpr(0.5, 0.25, DprConfig(0.5)) == pytest.approx(0.5)
+        assert dpr(0.5, 0.25, 0.5) == pytest.approx(0.5)
 
     def test_quarter_power_example(self):
-        got = dpr(0.01, 0.04, DprConfig(0.25))
+        got = dpr(0.01, 0.04, 0.25)
         want = (0.01 - 0.04) / 0.04**0.25
         assert got == pytest.approx(want, abs=1e-6)
         assert got == pytest.approx(-0.0670820, abs=1e-6)
@@ -41,17 +40,17 @@ class TestDpr:
     def test_zero_for_any_matched_depth(self):
         for d in (1e-6, 0.1, 0.25, 0.5):
             for alpha in (0.1, 0.25, 0.5, 0.75, 1.0):
-                assert dpr(d, d, DprConfig(alpha)) == 0.0
+                assert dpr(d, d, alpha) == 0.0
 
     def test_vectorized(self):
-        out = dpr([0.1, 0.2], [0.2, 0.2], DprConfig(1.0))
+        out = dpr([0.1, 0.2], [0.2, 0.2], 1.0)
         assert np.allclose(out, [-0.5, 0.0])
 
     def test_nonpositive_model_depth_rejected(self):
         with pytest.raises(ValueError):
-            dpr(0.1, 0.0, DprConfig(0.5))
+            dpr(0.1, 0.0, 0.5)
         with pytest.raises(ValueError):
-            dpr(0.1, -0.1, DprConfig(0.5))
+            dpr(0.1, -0.1, 0.5)
 
     def test_lower_bound_minus_one(self):
         # d_emp >= 0 and d_model <= 1/2 with alpha <= 1 force tau >= -1
@@ -60,12 +59,14 @@ class TestDpr:
             d_model = rng.uniform(1e-12, 0.5)
             d_emp = rng.uniform(0.0, 1.0)
             alpha = rng.uniform(0.05, 1.0)
-            assert dpr(d_emp, d_model, DprConfig(alpha)) >= -1.0
+            assert dpr(d_emp, d_model, alpha) >= -1.0
 
     def test_alpha_domain(self):
         for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                DprConfig(bad)
+            with pytest.raises(ValueError, match="alpha"):
+                WeightSpec.optimal(bad)
+            with pytest.raises(ValueError, match="alpha"):
+                dpr(0.1, 0.1, bad)
 
 
 class TestWeight:
@@ -133,33 +134,60 @@ class TestWeight:
         w = WeightSpec.optimal(1.0)
         assert (w.delta1, w.delta2, w.gamma, w.trim_xi) == (2.0, 9.0, 0.3, 5.0)
 
+    def test_optimal_keeps_its_exponent(self):
+        # between table rows the exponent is kept, the nearest row's
+        # parameters taken
+        w = WeightSpec.optimal(0.6)
+        assert w.alpha == 0.6
+        assert w == WeightSpec.piecewise(2.0, 9.0, 0.3, trim_xi=1.0, alpha=0.6)
+        assert WeightSpec.optimal() == WeightSpec.optimal(0.5)
+        assert WeightSpec.optimal().alpha == 0.5
+
+    def test_optimal_checks_alpha_first(self):
+        with pytest.raises(ValueError, match="^alpha must be a real number"):
+            WeightSpec.optimal("0.5")
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            WeightSpec.optimal(math.nan)
+
 
 class TestWeightConfigDict:
     @pytest.mark.parametrize("spec", SPECS)
     def test_round_trip(self, spec):
-        cfg = DprConfig(0.75)
-        assert weight_config_from_dict(weight_config_to_dict(spec, cfg)) == (spec, cfg)
+        spec = dataclasses.replace(spec, alpha=0.75)
+        assert WeightSpec.from_dict(spec.to_dict()) == spec
+
+    def test_key_order(self):
+        assert list(WeightSpec.optimal(0.25).to_dict()) == [
+            "family", "xi", "alpha", "delta1", "delta2", "gamma"]
+        assert WeightSpec.smooth_exp(0.1, alpha=0.75).to_dict() == {
+            "family": "smooth_exp", "xi": 1.0, "alpha": 0.75, "a": 0.1}
+
+    def test_alpha_required(self):
+        with pytest.raises(ValueError, match=r"missing fields: \['alpha'\]"):
+            WeightSpec.from_dict({"family": "smooth_exp", "a": 0.1})
+        with pytest.raises(ValueError, match="^alpha must be a real number"):
+            WeightSpec.from_dict({"family": "smooth_exp", "a": 0.1, "alpha": None})
 
     def test_inapplicable_field_rejected(self):
         smooth = {"family": "smooth_exp", "a": 0.1, "alpha": 0.5}
         with pytest.raises(ValueError, match="do not apply"):
-            weight_config_from_dict({**smooth, "delta1": 2.0})
-        piecewise = weight_config_to_dict(WeightSpec.optimal(0.5), DprConfig())
+            WeightSpec.from_dict({**smooth, "delta1": 2.0})
+        piecewise = WeightSpec.optimal(0.5).to_dict()
         with pytest.raises(ValueError, match="does not apply"):
-            weight_config_from_dict({**piecewise, "a": 0.1})
+            WeightSpec.from_dict({**piecewise, "a": 0.1})
 
     def test_missing_field_and_unknown_family(self):
         with pytest.raises(ValueError, match="requires"):
-            weight_config_from_dict({"family": "piecewise", "delta1": 2.0,
-                                     "delta2": 9.0, "alpha": 0.5})
+            WeightSpec.from_dict({"family": "piecewise", "delta1": 2.0,
+                                  "delta2": 9.0, "alpha": 0.5})
         with pytest.raises(ValueError, match="unknown weight family"):
-            weight_config_from_dict({"family": "tukey", "alpha": 0.5})
+            WeightSpec.from_dict({"family": "tukey", "alpha": 0.5})
 
     def test_unknown_field_rejected(self):
-        piecewise = weight_config_to_dict(WeightSpec.optimal(0.5), DprConfig())
+        piecewise = WeightSpec.optimal(0.5).to_dict()
         piecewise["delat1"] = piecewise.pop("delta1")
         with pytest.raises(ValueError, match=r"unknown fields: \['delat1'\]"):
-            weight_config_from_dict(piecewise)
+            WeightSpec.from_dict(piecewise)
 
 
 class TestTrim:

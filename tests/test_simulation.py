@@ -9,7 +9,6 @@ import pytest
 from depthwl import (
     ContaminationSpec,
     DepthMethod,
-    DprConfig,
     EstimatorConfig,
     GaussianParams,
     GridConfig,
@@ -151,8 +150,8 @@ class TestGridConfigDict:
 
     @pytest.mark.parametrize("make, name", [
         (lambda: EstimatorConfig(tol="1e-8"), "tol"),
-        (lambda: DprConfig("0.5"), "alpha"),
-        (lambda: DprConfig(True), "alpha"),
+        (lambda: WeightSpec.optimal("0.5"), "alpha"),
+        (lambda: WeightSpec.smooth_exp(0.1, alpha=True), "alpha"),
         (lambda: WeightSpec.piecewise("2", 9.0, 0.3), "delta1"),
         (lambda: WeightSpec.piecewise(2.0, [9.0], 0.3), "delta2"),
         (lambda: WeightSpec.piecewise(2.0, 9.0, "0.3"), "gamma"),

@@ -45,7 +45,7 @@ class ReferenceStepFailure(RuntimeError):
 
 
 def reference_residuals_weights(data, params, emp_depths, cfg):
-    tau = dpr(emp_depths, population_depth_gaussian(data, params), cfg.dpr)
+    tau = dpr(emp_depths, population_depth_gaussian(data, params), cfg.weights.alpha)
     return tau, apply_trim(tau, weight(tau, cfg.weights), cfg.weights.trim_xi)
 
 
@@ -182,10 +182,11 @@ class TestAgainstSerialReference:
         "cfg, p",
         [
             (EstimatorConfig(weights=WeightSpec.smooth_exp(0.5)), 2),
+            (EstimatorConfig(weights=WeightSpec.optimal(0.75)), 2),
             (EstimatorConfig(scatter_norm="sum-of-weights"), 2),
             (EstimatorConfig(depth_method=DepthMethod.projection(300, seed=1)), 3),
         ],
-        ids=["smooth_exp", "sum-of-weights", "p3-projection"],
+        ids=["smooth_exp", "alpha-0.75", "sum-of-weights", "p3-projection"],
     )
     def test_other_configurations(self, cfg, p):
         rng = np.random.default_rng(p)
