@@ -485,3 +485,15 @@ def empirical_depths_all(data, method: DepthMethod) -> np.ndarray:
     for sample in stack:
         _as_matrix(sample)
     return _stacked_depths(stack, stack, method)
+
+
+def _as_depths(name: str, depths, n: int) -> np.ndarray:
+    """Caller-supplied ``empirical_depths_all`` of an n-row sample as an
+    (n,) float array; ValueError naming ``name`` unless it has that
+    shape and every entry is finite and in [0, 1]."""
+    depths = np.asarray(depths, dtype=np.float64)
+    if depths.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {depths.shape}")
+    if not np.all((depths >= 0.0) & (depths <= 1.0)):
+        raise ValueError(f"{name} must be finite and in [0, 1]")
+    return depths

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .depth import DepthMethod, _model_depth, empirical_depths_all
+from .depth import DepthMethod, _as_depths, _model_depth, empirical_depths_all
 # Not called here: perfbench's tracer patches model depth at this name.
 from .depth import population_depth_gaussian  # noqa: F401
 from .gaussian import GaussianParams, _as_matrix, _check_integer, _check_real, _cholesky
@@ -375,14 +375,16 @@ def fit(
 ) -> FitResult:
     """Iterate reweighting steps from ``init`` until convergence.
 
-    ``emp_depths`` may be passed to share the one-time depth
-    computation across several starts.  A failed step aborts this
-    start only, yielding a non-converged result with the reason.
+    ``emp_depths``, the ``empirical_depths_all`` of ``data``, may be
+    passed to share the one-time depth computation across several
+    starts; it must be (n,) with every entry in [0, 1].  A failed step
+    aborts this start only, yielding a non-converged result with the
+    reason.
     """
     data = _as_matrix(data)
     starts = _starts([init], data.shape[1])
-    if emp_depths is None:
-        emp_depths = empirical_depths_all(data, cfg.depth_method)
+    emp_depths = (empirical_depths_all(data, cfg.depth_method) if emp_depths is None
+                  else _as_depths("emp_depths", emp_depths, len(data)))
     stack = _solve(data[None], emp_depths[None], np.zeros(1, dtype=np.intp), starts, cfg)
     return stack.results([0])[0]
 
@@ -473,6 +475,6 @@ def find_roots(
     """
     data = _as_matrix(data)
     starts = _starts(list(inits), data.shape[1])
-    if emp_depths is None:
-        emp_depths = empirical_depths_all(data, cfg.depth_method)
+    emp_depths = (empirical_depths_all(data, cfg.depth_method) if emp_depths is None
+                  else _as_depths("emp_depths", emp_depths, len(data)))
     return _root_sets(data[None], emp_depths[None], [starts], cfg)[0]

@@ -94,10 +94,15 @@ def _check_integer(name: str, x, low: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer{bound}, got {x!r}")
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a Python or numpy real number (bool is not one)."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _check_real(name: str, x) -> None:
     """Raise ValueError naming ``name`` unless ``x`` is a Python or numpy
     real number (bool is not one); ranges are the caller's to check."""
-    if not (isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)):
+    if not _is_real(x):
         raise ValueError(f"{name} must be a real number, got {x!r}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import DepthMethod, _rng, empirical_depths_all
+from .depth import DepthMethod, _as_depths, _rng, empirical_depths_all
 from .gaussian import GaussianParams, SingularCovarianceError, _as_matrix, _check_fit
 from .gaussian import _check_integer, _fields, _mle_fits
 # Not called here: perfbench's tracer patches the MLE at this name.
@@ -46,8 +46,7 @@ def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
     """
     data = _as_matrix(data)
     n, p = data.shape
-    if B < 1:
-        raise ValueError("B must be >= 1")
+    _check_integer("B", B, 1)
     size = elemental_subsample_size(p)
     if n < size:
         raise ValueError(f"need at least {size} observations for p={p}")
@@ -87,12 +86,12 @@ def depth_init(
     two pieces describe one center.  Ties at the cutoff depth are
     resolved by row index.  ``depths``, the ``empirical_depths_all``
     of ``data`` under ``method``, may be passed to share them with the
-    fit.
+    fit; it must be (n,) with every entry in [0, 1].
     """
     data = _as_matrix(data)
     n, p = data.shape
-    if depths is None:
-        depths = empirical_depths_all(data, method)
+    depths = (empirical_depths_all(data, method) if depths is None
+              else _as_depths("depths", depths, n))
     deepest = int(np.argmax(depths))
     k = (n + 1) // 2
     order = np.argsort(-depths, kind="stable")
@@ -109,6 +108,8 @@ def depth_init(
 # The JSON fields each init strategy takes besides ``strategy``.
 _STRATEGY_FIELDS = {"subsample": ("B", "seed"), "depth_deterministic": (), "truth": (),
                     "custom": ("params_list",)}
+# (JSON key, InitSpec field) of the strategy-specific fields.
+_KEYS = (("B", "b"), ("seed", "seed"), ("params_list", "custom"))
 
 
 @dataclass(frozen=True)
@@ -117,19 +118,30 @@ class InitSpec:
 
     strategy: "subsample" (B elemental fits), "depth_deterministic",
     "truth" (the generating parameters, supplied by the caller), or
-    "custom" (explicit list of parameter sets).
+    "custom" (explicit list of parameter sets).  ``b`` and ``seed``
+    apply to "subsample" only, where unset (None) means 500 and 0, and
+    ``custom`` to "custom" only; a field set on another strategy is
+    rejected, so ``to_dict`` loses nothing.
     """
 
     strategy: str
-    b: int = 500
-    seed: int = 0
-    custom: tuple = ()
+    b: int | None = None
+    seed: int | None = None
+    custom: tuple | None = None
 
     def __post_init__(self):
         if self.strategy not in _STRATEGY_FIELDS:
             raise ValueError(f"unknown init strategy: {self.strategy!r}")
-        _check_integer("B", self.b, 1)
-        _check_integer("seed", self.seed)
+        applies = _STRATEGY_FIELDS[self.strategy]
+        extra = [key for key, name in _KEYS
+                 if getattr(self, name) is not None and key not in applies]
+        if extra:
+            raise ValueError(f"{extra} do not apply to the {self.strategy} strategy")
+        if self.strategy == "subsample":
+            object.__setattr__(self, "b", 500 if self.b is None else self.b)
+            object.__setattr__(self, "seed", 0 if self.seed is None else self.seed)
+            _check_integer("B", self.b, 1)
+            _check_integer("seed", self.seed)
         if self.strategy == "custom" and not self.custom:
             raise ValueError("custom strategy requires at least one parameter set")
 
@@ -169,13 +181,8 @@ class InitSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InitSpec":
-        strategy = _fields(d, ("strategy", "B", "seed", "params_list"),
-                           required=("strategy",))["strategy"]
-        # An unknown strategy is left to the constructor to reject.
-        extra = set(d) - {"strategy", *_STRATEGY_FIELDS.get(strategy, d)}
-        if extra:
-            raise ValueError(f"{sorted(extra)} do not apply to the {strategy} strategy")
-        kw = {name: d[key] for key, name in (("B", "b"), ("seed", "seed")) if key in d}
-        if "params_list" in d:
-            kw["custom"] = tuple(GaussianParams.from_dict(g) for g in d["params_list"])
-        return cls(strategy, **kw)
+        d = _fields(d, ("strategy", *(key for key, _ in _KEYS)), required=("strategy",))
+        kw = {name: d[key] for key, name in _KEYS if key in d}
+        if kw.get("custom") is not None:
+            kw["custom"] = tuple(GaussianParams.from_dict(g) for g in kw["custom"])
+        return cls(d["strategy"], **kw)

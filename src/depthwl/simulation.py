@@ -33,7 +33,8 @@ from .depth import (
     resolve_depth_method,
 )
 from .estimator import EstimatorConfig, _root_sets, _starts, fit
-from .gaussian import GaussianParams, _check_integer, _fields, _log_det, _mle_fits
+from .gaussian import GaussianParams, _check_integer, _check_real, _fields, _is_real
+from .gaussian import _log_det, _mle_fits
 from .gaussian import _stacked_kl, mle_fit
 # Not called here: perfbench's tracer patches root finding and the KL
 # divergence at these names.
@@ -73,6 +74,8 @@ class ContaminationSpec:
     sigma_c: float = 1.0
 
     def __post_init__(self):
+        for name in ("epsilon", "mu_c", "sigma_c"):
+            _check_real(name, getattr(self, name))
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon!r}")
         if not math.isfinite(self.mu_c):
@@ -153,8 +156,13 @@ class GridConfig:
                 _check_integer(f"{name}[{i}]", v, 1)
         _check_integer("reps", self.reps, 1)
         _check_integer("seed", self.seed)
-        for spec in itertools.product(self.epsilons, self.mu_cs, self.sigma_cs):
-            ContaminationSpec(*spec)
+        # ContaminationSpec judges each entry in its own slot.
+        for name, slot in (("epsilons", "epsilon"), ("mu_cs", "mu_c"), ("sigma_cs", "sigma_c")):
+            for i, v in enumerate(getattr(self, name)):
+                try:
+                    ContaminationSpec(**{"epsilon": 0.0, slot: v})
+                except ValueError as exc:
+                    raise ValueError(f"{name}[{i}]: {exc}") from None
         for p in self.dims:
             resolve_depth_method(self.estimator.depth_method, p)
 
@@ -184,8 +192,8 @@ class GridConfig:
         required = ("dims", "size_factors", "epsilons", "mu_cs", "sigma_cs", "reps", "seed")
         kw = dict(_fields(d, (*required, "estimator", "init"), required))
 
-        def floats(v):  # anything but a list is left to the constructor to reject
-            return tuple(float(x) for x in v) if isinstance(v, list) else v
+        def floats(v):  # anything but a list or a real entry is the constructor's to reject
+            return tuple(float(x) if _is_real(x) else x for x in v) if isinstance(v, list) else v
 
         readers = {"estimator": EstimatorConfig.from_dict, "init": InitSpec.from_dict,
                    **dict.fromkeys(("epsilons", "mu_cs", "sigma_cs"), floats)}

@@ -168,6 +168,37 @@ class TestFit:
             fit(data, EstimatorConfig(), GaussianParams.standard(3))
 
 
+BAD_DEPTHS = {
+    "one-depth": (np.array([0.5]), r"shape \(50,\)"),
+    "column": (np.full((50, 1), 0.5), r"shape \(50,\)"),
+    "too-long": (np.full(51, 0.5), r"shape \(50,\)"),
+    "nan": (np.r_[np.full(49, 0.5), np.nan], r"finite and in \[0, 1\]"),
+    "inf": (np.r_[np.full(49, 0.5), np.inf], r"finite and in \[0, 1\]"),
+    "above-one": (np.r_[np.full(49, 0.5), 1.5], r"finite and in \[0, 1\]"),
+    "negative": (np.r_[np.full(49, 0.5), -0.1], r"finite and in \[0, 1\]"),
+}
+
+
+class TestGivenDepths:
+    """Caller-supplied empirical depths are checked, not broadcast."""
+
+    @pytest.mark.parametrize("depths, message", BAD_DEPTHS.values(), ids=BAD_DEPTHS.keys())
+    def test_fit_and_find_roots_reject(self, depths, message):
+        data = np.random.default_rng(4).standard_normal((50, 2))
+        start = mle_fit(data)
+        with pytest.raises(ValueError, match=f"^emp_depths must .*{message}"):
+            fit(data, EstimatorConfig(), start, emp_depths=depths)
+        with pytest.raises(ValueError, match=f"^emp_depths must .*{message}"):
+            find_roots(data, EstimatorConfig(), [start], emp_depths=depths)
+
+    def test_valid_depths_as_list(self):
+        data = np.random.default_rng(4).standard_normal((50, 2))
+        depths = empirical_depths_all(data, DepthMethod())
+        got = find_roots(data, EstimatorConfig(), [mle_fit(data)], emp_depths=depths.tolist())
+        want = find_roots(data, EstimatorConfig(), [mle_fit(data)])
+        assert got.best.params.mu.tobytes() == want.best.params.mu.tobytes()
+
+
 class TestFindRoots:
     def test_single_basin_single_root(self):
         rng = np.random.default_rng(11)

@@ -1,5 +1,7 @@
 """Starting-value strategies: elemental subsampling and depth-based."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,12 @@ class TestSubsampleInits:
         data = np.random.default_rng(0).standard_normal((20, 2))
         with pytest.raises(ValueError):
             subsample_inits(data, 0, seed=1)
+
+    @pytest.mark.parametrize("B", [2.5, 3.0, True, np.float64(2.0)])
+    def test_non_integer_b_rejected(self, B):
+        data = np.random.default_rng(0).standard_normal((20, 2))
+        with pytest.raises(ValueError, match="^B must be an integer >= 1"):
+            subsample_inits(data, B, seed=1)
 
     def test_reproducible(self):
         data = np.random.default_rng(1).standard_normal((30, 2))
@@ -165,6 +173,16 @@ class TestSubsampleInits:
 
 
 class TestDepthInit:
+    @pytest.mark.parametrize("depths, message", [
+        (np.array([0.5]), r"shape \(50,\)"),
+        (np.r_[np.full(49, 0.5), np.nan], r"finite and in \[0, 1\]"),
+        (np.r_[np.full(49, 0.5), 2.0], r"finite and in \[0, 1\]"),
+    ], ids=["one-depth", "nan", "above-one"])
+    def test_given_depths_checked(self, depths, message):
+        data = np.random.default_rng(4).standard_normal((50, 2))
+        with pytest.raises(ValueError, match=f"^depths must .*{message}"):
+            depth_init(data, depths=depths)
+
     def test_univariate_three_points(self):
         got = depth_init(np.array([[1.0], [2.0], [3.0]]))
         assert got.mu[0] == 2.0
@@ -237,6 +255,24 @@ class TestInitSpec:
         back = InitSpec.from_dict(spec.to_dict())
         assert back.strategy == "custom"
         assert np.array_equal(back.custom[0].mu, spec.custom[0].mu)
+
+    @pytest.mark.parametrize("kw, keys", [
+        (dict(strategy="truth", b=7, seed=3), "['B', 'seed']"),
+        (dict(strategy="depth_deterministic", seed=0), "['seed']"),
+        (dict(strategy="custom", b=3, custom=(GaussianParams.standard(2),)), "['B']"),
+        (dict(strategy="subsample", custom=(GaussianParams.standard(2),)), "['params_list']"),
+    ])
+    def test_inapplicable_field_rejected(self, kw, keys):
+        # the constructor, not only the JSON reader, rejects a field its
+        # strategy does not take, so no config loses a field in to_dict
+        with pytest.raises(ValueError, match=re.escape(f"{keys} do not apply")):
+            InitSpec(**kw)
+
+    def test_unset_subsample_fields_take_defaults(self):
+        spec = InitSpec("subsample")
+        assert (spec.b, spec.seed) == (500, 0)
+        assert spec == InitSpec("subsample", b=500, seed=0)
+        assert InitSpec.from_dict({"strategy": "subsample"}) == spec
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

@@ -460,10 +460,21 @@ ESTIMATORS = st.builds(
     max_iter=int_field(1, 1000),
 )
 
-INITS = st.one_of(
-    st.builds(InitSpec, st.just("subsample"), int_field(1, 1000), int_field(-5, 2**40)),
-    st.sampled_from(["depth_deterministic", "truth"]).map(InitSpec),
-)
+
+def init_specs(strategy):
+    """InitSpecs of ``strategy`` with each field unset (None) or set, so a
+    field the strategy does not take must be rejected.  A start list
+    compares by identity (GaussianParams has no value equality), so the
+    custom strategy is drawn without one, and is always rejected."""
+    custom = st.none() if strategy == "custom" else st.sampled_from(
+        [None, (), (GaussianParams.standard(2),)])
+    return st.builds(InitSpec, st.just(strategy),
+                     st.one_of(st.none(), int_field(1, 1000)),
+                     st.one_of(st.none(), int_field(-5, 2**40)), custom)
+
+
+INITS = st.sampled_from(["subsample", "depth_deterministic", "truth", "custom"]).flatmap(
+    init_specs)
 
 # About half the grids have a bad field; their estimator and init are
 # valid ones, which the cases above vary.

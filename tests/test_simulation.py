@@ -157,7 +157,12 @@ class TestGridConfigDict:
         (lambda: WeightSpec.piecewise(2.0, 9.0, "0.3"), "gamma"),
         (lambda: WeightSpec.smooth_exp("0.1"), "a"),
         (lambda: WeightSpec.smooth_exp(0.1, trim_xi="big"), "trim_xi"),
-    ], ids=["tol", "alpha", "alpha-bool", "delta1", "delta2", "gamma", "a", "trim_xi"])
+        (lambda: ContaminationSpec("0.1"), "epsilon"),
+        (lambda: ContaminationSpec(0.1, "a"), "mu_c"),
+        (lambda: ContaminationSpec(0.1, True), "mu_c"),
+        (lambda: ContaminationSpec(0.1, 5.0, [1.0]), "sigma_c"),
+    ], ids=["tol", "alpha", "alpha-bool", "delta1", "delta2", "gamma", "a", "trim_xi",
+            "epsilon", "mu_c", "mu_c-bool", "sigma_c"])
     def test_non_real_field_named(self, make, name):
         with pytest.raises(ValueError, match=f"^{name} must be a real number"):
             make()
@@ -166,6 +171,27 @@ class TestGridConfigDict:
         blob = small_grid().to_dict()
         blob["estimator"]["tol"] = "x"
         with pytest.raises(ValueError, match=r"estimator \(tol must be a real number"):
+            GridConfig.from_dict(blob)
+
+    @pytest.mark.parametrize("name, entries", [
+        ("mu_cs", [True]),
+        ("epsilons", ["0.1"]),
+        ("sigma_cs", [1.0, None]),
+    ])
+    def test_non_real_contamination_named(self, name, entries):
+        # neither converted to float nor read as a number: named by its list
+        blob = small_grid().to_dict()
+        blob[name] = entries
+        bad = len(entries) - 1
+        with pytest.raises(ValueError, match=rf"{name}\[{bad}\]: .* must be a real number"):
+            GridConfig.from_dict(blob)
+        with pytest.raises(ValueError, match=rf"^{name}\[{bad}\]: "):
+            small_grid(**{name: tuple(entries)})
+
+    def test_contamination_range_named_by_list(self):
+        blob = small_grid().to_dict()
+        blob["epsilons"] = [0.1, 1.5]
+        with pytest.raises(ValueError, match=r"epsilons\[1\]: epsilon must lie in \[0, 1\)"):
             GridConfig.from_dict(blob)
 
 
