@@ -43,7 +43,7 @@ from .depth import DepthMethod, _as_depths, _model_depth, empirical_depths_all
 # Not called here: perfbench's tracer patches model depth at this name.
 from .depth import population_depth_gaussian  # noqa: F401
 from .gaussian import GaussianParams, _as_matrix, _check_integer, _check_real, _cholesky
-from .gaussian import _fields, _log_det, _stacked_kl, _stacked_mahalanobis_sq
+from .gaussian import _fields, _stack, _stacked_kl, _stacked_mahalanobis_sq, _unstack
 from .gaussian import weighted_location_scatter
 # Not called here: perfbench's tracer patches the KL divergence at this name.
 from .gaussian import kl_gaussian  # noqa: F401
@@ -272,7 +272,7 @@ def _starts(inits, p: int):
             raise ValueError(
                 f"start has dimension {init.p} but the data have dimension {p}"
             )
-    return tuple(np.array([getattr(g, a) for g in inits]) for a in ("mu", "sigma", "chol"))
+    return _stack(inits, p)
 
 
 @dataclass(frozen=True)
@@ -296,9 +296,6 @@ class _Stack:
     converged: np.ndarray
     messages: list
 
-    def params(self, i: int) -> GaussianParams:
-        return GaussianParams(self.mu[i], self.sigma[i])
-
     def results(self, idx) -> list:
         """FitResults of the problems ``idx``: weights and residuals at
         their parameters from stacked evaluations of at most _ROWS data
@@ -309,12 +306,11 @@ class _Stack:
         for lo in range(0, len(idx), chunk):
             part = idx[lo:lo + chunk]
             ds = self.ds[part]
-            tau, w = _residuals_weights(
-                self.data[ds], self.mu[part], self.chol[part], self.emp_depths[ds], self.cfg
-            )
+            mu, sigma, chol = self.mu[part], self.sigma[part], self.chol[part]
+            tau, w = _residuals_weights(self.data[ds], mu, chol, self.emp_depths[ds], self.cfg)
             out += [
                 FitResult(
-                    params=self.params(i),
+                    params=params,
                     weights=w[k],
                     residuals=tau[k],
                     iterations=int(self.iterations[i]),
@@ -322,7 +318,7 @@ class _Stack:
                     sum_weights=float(w[k].sum()),
                     message=self.messages[i],
                 )
-                for k, i in enumerate(part)
+                for k, (i, params) in enumerate(zip(part, _unstack(mu, sigma, chol)))
             ]
         return out
 
@@ -398,7 +394,6 @@ def _distinct(mu: np.ndarray, chol: np.ndarray) -> list:
     compared with every later root in one stacked call each way, and the
     next kept root is the first one no kept root covers.
     """
-    log_det = _log_det(chol)
     covered = np.zeros(len(mu), dtype=bool)
     kept: list = []
     for i in range(len(mu)):
@@ -406,8 +401,8 @@ def _distinct(mu: np.ndarray, chol: np.ndarray) -> list:
             continue
         kept.append(i)
         if i + 1 < len(mu):
-            one = mu[i:i + 1], chol[i:i + 1], log_det[i:i + 1]
-            rest = mu[i + 1:], chol[i + 1:], log_det[i + 1:]
+            one = mu[i:i + 1], chol[i:i + 1]
+            rest = mu[i + 1:], chol[i + 1:]
             covered[i + 1:] |= _stacked_kl(*rest, *one) + _stacked_kl(*one, *rest) < DEDUP_KL
     return kept
 

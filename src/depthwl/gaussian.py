@@ -36,12 +36,15 @@ class GaussianParams:
 
     mu: np.ndarray
     sigma: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False)
-    _log_det: float = field(init=False, repr=False)
+    chol: np.ndarray = field(init=False, repr=False)  # lower Cholesky factor of sigma
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64).reshape(-1)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
+        for name in ("mu", "sigma"):
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            except OverflowError:
+                raise ValueError(f"{name} holds an integer too large for a float") from None
+        mu, sigma = self.mu.reshape(-1), self.sigma
         if sigma.shape != (mu.size, mu.size):
             raise ValueError("sigma must be a p x p matrix matching mu")
         scale = float(np.abs(sigma).max())
@@ -54,24 +57,16 @@ class GaussianParams:
         except np.linalg.LinAlgError:
             raise ValueError("sigma is not positive definite") from None
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_log_det", float(_log_det(chol)))
+        object.__setattr__(self, "chol", chol)
 
     @property
     def p(self) -> int:
         return self.mu.size
 
     @property
-    def chol(self) -> np.ndarray:
-        """Lower Cholesky factor of the scatter matrix."""
-        return self._chol
-
-    @property
     def log_det(self) -> float:
-        """Log-determinant of the scatter matrix, computed once at
-        construction."""
-        return self._log_det
+        """Log-determinant of the scatter matrix, from its Cholesky factor."""
+        return float(_log_det(self.chol))
 
     def to_dict(self) -> dict:
         return {"mu": self.mu.tolist(), "sigma": self.sigma.tolist()}
@@ -82,7 +77,26 @@ class GaussianParams:
 
     @classmethod
     def standard(cls, p: int) -> "GaussianParams":
-        return cls(np.zeros(p), np.eye(p))
+        """N_p(0, I); the identity is its own Cholesky factor."""
+        _check_integer("p", p, 1)
+        return _unstack(np.zeros((1, p)), np.eye(p)[None], np.eye(p)[None])[0]
+
+
+def _stack(params, p: int):
+    """Stacked (mu, sigma, chol) of S >= 0 parameter sets of dimension ``p``."""
+    return (np.array([g.mu for g in params]).reshape(-1, p),
+            np.array([g.sigma for g in params]).reshape(-1, p, p),
+            np.array([g.chol for g in params]).reshape(-1, p, p))
+
+
+def _unstack(mu, sigma, chol) -> list:
+    """The rows of a ``_stack`` whose factors this library computed
+    (``_cholesky``, ``_mle_fits``) as GaussianParams, neither checked
+    nor factored again; outside input goes through the constructor."""
+    out = [object.__new__(GaussianParams) for _ in range(len(mu))]
+    for params, row in zip(out, zip(mu, sigma, chol)):
+        params.__dict__.update(zip(("mu", "sigma", "chol"), row))
+    return out
 
 
 def _check_integer(name: str, x, low: int | None = None) -> None:
@@ -94,16 +108,16 @@ def _check_integer(name: str, x, low: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer{bound}, got {x!r}")
 
 
-def _is_real(x) -> bool:
-    """Whether ``x`` is a Python or numpy real number (bool is not one)."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-
-
 def _check_real(name: str, x) -> None:
     """Raise ValueError naming ``name`` unless ``x`` is a Python or numpy
-    real number (bool is not one); ranges are the caller's to check."""
-    if not _is_real(x):
+    real number (bool is not one) that a float can hold; ranges are the
+    caller's to check."""
+    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
         raise ValueError(f"{name} must be a real number, got {x!r}")
+    try:
+        float(x)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
 
 
 def _fields(d, allowed, required=()) -> dict:
@@ -247,7 +261,7 @@ def mle_fit(data) -> GaussianParams:
     """
     mu, sigma, chol = _mle_fits(_as_matrix(data)[None])
     _check_fit(sigma[0], chol[0])
-    return GaussianParams(mu[0], sigma[0])
+    return _unstack(mu, sigma, chol)[0]
 
 
 def kl_gaussian(p0: GaussianParams, p1: GaussianParams) -> float:
@@ -260,18 +274,15 @@ def kl_gaussian(p0: GaussianParams, p1: GaussianParams) -> float:
     """
     if p0.p != p1.p:
         raise ValueError("dimension mismatch")
-    kl = _stacked_kl(
-        p0.mu[None], p0.chol[None], np.array([p0.log_det]),
-        p1.mu[None], p1.chol[None], np.array([p1.log_det]),
-    )
+    kl = _stacked_kl(p0.mu[None], p0.chol[None], p1.mu[None], p1.chol[None])
     return float(kl[0])
 
 
-def _stacked_kl(mu0, chol0, log_det0, mu1, chol1, log_det1) -> np.ndarray:
+def _stacked_kl(mu0, chol0, mu1, chol1) -> np.ndarray:
     """KL(N0 || N1) of S pairs at once, as in ``kl_gaussian``.
 
-    Each side is ``mu`` (S, p), the lower Cholesky factors ``chol`` (S,
-    p, p) and the log-determinants ``log_det`` (S,); either side may be
+    Each side is ``mu`` (S, p) and the lower Cholesky factors ``chol``
+    (S, p, p), which also give the log-determinants; either side may be
     a stack of one, broadcast against the other.  One whitening by
     ``chol1`` gives both the trace, tr(S1^-1 S0) = ||L1^-1 L0||_F^2
     from the rows of L0', and the quadratic term from mu0 - mu1, so a
@@ -285,7 +296,7 @@ def _stacked_kl(mu0, chol0, log_det0, mu1, chol1, log_det1) -> np.ndarray:
     trace = d2[:, 0]
     for i in range(1, p):
         trace = trace + d2[:, i]
-    kl = 0.5 * (trace + d2[:, p] - p + log_det1 - log_det0)
+    kl = 0.5 * (trace + d2[:, p] - p + _log_det(chol1) - _log_det(chol0))
     return np.maximum(kl, 0.0)
 
 

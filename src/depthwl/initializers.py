@@ -14,7 +14,7 @@ import numpy as np
 
 from .depth import DepthMethod, _as_depths, _rng, empirical_depths_all
 from .gaussian import GaussianParams, SingularCovarianceError, _as_matrix, _check_fit
-from .gaussian import _check_integer, _fields, _mle_fits
+from .gaussian import _check_integer, _fields, _mle_fits, _unstack
 # Not called here: perfbench's tracer patches the MLE at this name.
 from .gaussian import mle_fit  # noqa: F401
 
@@ -70,7 +70,7 @@ def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
                 mu[b], sigma[b], chol[b] = (a[0] for a in fit)
     if B + redraws > budget:
         raise ValueError(exhausted)
-    return [GaussianParams(m, s) for m, s in zip(mu, sigma)]
+    return _unstack(mu, sigma, chol)
 
 
 def depth_init(

@@ -33,9 +33,8 @@ from .depth import (
     resolve_depth_method,
 )
 from .estimator import EstimatorConfig, _root_sets, _starts, fit
-from .gaussian import GaussianParams, _check_integer, _check_real, _fields, _is_real
-from .gaussian import _log_det, _mle_fits
-from .gaussian import _stacked_kl, mle_fit
+from .gaussian import GaussianParams, _check_integer, _check_real, _fields, _mle_fits
+from .gaussian import _stack, _stacked_kl, mle_fit
 # Not called here: perfbench's tracer patches root finding and the KL
 # divergence at these names.
 from .estimator import find_roots  # noqa: F401
@@ -121,11 +120,10 @@ def _stacked_mse(mu: np.ndarray, sigma: np.ndarray, truth: GaussianParams) -> np
     return err / (p + p * (p + 1) // 2)
 
 
-def _errors(mu, sigma, chol, log_det, truth: GaussianParams):
+def _errors(mu, sigma, chol, truth: GaussianParams):
     """MSE and KL divergence from ``truth`` of S estimates, given as
-    locations, scatters, their Cholesky factors and log-determinants."""
-    kl = _stacked_kl(mu, chol, log_det,
-                     truth.mu[None], truth.chol[None], np.array([truth.log_det]))
+    locations, scatters and their Cholesky factors."""
+    kl = _stacked_kl(mu, chol, truth.mu[None], truth.chol[None])
     return _stacked_mse(mu, sigma, truth), kl
 
 
@@ -156,15 +154,23 @@ class GridConfig:
                 _check_integer(f"{name}[{i}]", v, 1)
         _check_integer("reps", self.reps, 1)
         _check_integer("seed", self.seed)
-        # ContaminationSpec judges each entry in its own slot.
+        # ContaminationSpec judges each entry in its own slot; each is stored as a float.
         for name, slot in (("epsilons", "epsilon"), ("mu_cs", "mu_c"), ("sigma_cs", "sigma_c")):
             for i, v in enumerate(getattr(self, name)):
                 try:
                     ContaminationSpec(**{"epsilon": 0.0, slot: v})
                 except ValueError as exc:
                     raise ValueError(f"{name}[{i}]: {exc}") from None
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         for p in self.dims:
             resolve_depth_method(self.estimator.depth_method, p)
+        # Starts that no replication can make; n = s (p(p+1)/2 + p) is
+        # below an elemental subsample, p(p+1)/2 + p + 1 rows, only at s = 1.
+        if (self.init.strategy == "custom"
+                and len({g.p for g in self.init.custom} | {*self.dims}) > 1):
+            raise ValueError("init: every custom start must have the dimension of every cell")
+        if self.init.strategy == "subsample" and min(self.size_factors) == 1:
+            raise ValueError("init: subsample starts need a size factor of at least 2")
 
     def cells(self):
         """Deterministic cell enumeration; the position is the cell id."""
@@ -191,12 +197,7 @@ class GridConfig:
     def from_dict(cls, d: dict) -> "GridConfig":
         required = ("dims", "size_factors", "epsilons", "mu_cs", "sigma_cs", "reps", "seed")
         kw = dict(_fields(d, (*required, "estimator", "init"), required))
-
-        def floats(v):  # anything but a list or a real entry is the constructor's to reject
-            return tuple(float(x) if _is_real(x) else x for x in v) if isinstance(v, list) else v
-
-        readers = {"estimator": EstimatorConfig.from_dict, "init": InitSpec.from_dict,
-                   **dict.fromkeys(("epsilons", "mu_cs", "sigma_cs"), floats)}
+        readers = {"estimator": EstimatorConfig.from_dict, "init": InitSpec.from_dict}
         for name, reader in readers.items():
             try:
                 if name in d:
@@ -308,15 +309,8 @@ def _run_cell(cfg: GridConfig, cell_id: int, cell) -> CellResult:
                            cfg.estimator)
     reps = fitted[[k for k, rs in zip(started, root_sets) if rs.best is not None]]
     best = [rs.best.params for rs in root_sets if rs.best is not None]
-    mle_mse, mle_kl = _errors(mle_mu[reps], mle_sigma[reps], mle_chol[reps],
-                              _log_det(mle_chol[reps]), truth)
-    wle_mse, wle_kl = _errors(
-        np.array([g.mu for g in best]).reshape(-1, p),
-        np.array([g.sigma for g in best]).reshape(-1, p, p),
-        np.array([g.chol for g in best]).reshape(-1, p, p),
-        np.array([g.log_det for g in best]),
-        truth,
-    )
+    mle_mse, mle_kl = _errors(mle_mu[reps], mle_sigma[reps], mle_chol[reps], truth)
+    wle_mse, wle_kl = _errors(*_stack(best, p), truth)
 
     def _mean(v):
         return float(np.mean(v)) if len(v) else float("nan")

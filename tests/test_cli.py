@@ -139,6 +139,16 @@ class TestFitCommand:
         assert code == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_integer_too_large_for_a_float_init_file_exit_1(self, clean_csv, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text('{"mu": [1%s, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}' % ("0" * 400))
+        code = main([
+            "fit", "--input", clean_csv, "--init", "file",
+            "--init-file", str(init),
+        ])
+        assert code == 1
+        assert "mu holds an integer too large for a float" in capsys.readouterr().err
+
     def test_init_depth(self, clean_csv, tmp_path):
         out = tmp_path / "d.json"
         code = main([
@@ -369,6 +379,11 @@ class TestSimulateCommand:
          "alpha must be a real number"),
         ({"estimator": {"weights": {**WEIGHTS, "delta2": "9"}}},
          "delta2 must be a real number"),
+        ({"mu_cs": [10**400]}, "mu_cs"),
+        ({"estimator": {"weights": {**WEIGHTS, "delta2": 10**400}}}, "delta2"),
+        ({"dims": [3], "init": {"strategy": "custom",
+                                "params_list": [GaussianParams.standard(2).to_dict()]}}, "init"),
+        ({"size_factors": [1], "init": {"strategy": "subsample"}}, "init"),
     ])
     def test_bad_value_exits_1_at_load(self, tmp_path, capsys, monkeypatch, overrides, field):
         ran = []

@@ -5,14 +5,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_triangular
 
 from depthwl import (
+    EstimatorConfig,
     GaussianParams,
+    GridConfig,
+    InitSpec,
+    find_roots,
+    fit,
     kl_gaussian,
     log_density,
     mahalanobis_sq,
     mle_fit,
+    run_grid,
+    subsample_inits,
 )
 
 
@@ -42,6 +52,13 @@ class TestParams:
             GaussianParams([0.0, 0.0], [[1.0, bad], [bad, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             GaussianParams([0.0, 0.0], [[bad, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("name", ["mu", "sigma"])
+    def test_integer_too_large_for_a_float_named(self, name):
+        fields = {"mu": [0.0], "sigma": [[1.0]]}
+        fields[name] = [10**400] if name == "mu" else [[10**400]]
+        with pytest.raises(ValueError, match=f"^{name} holds an integer too large for a float"):
+            GaussianParams(**fields)
 
     def test_json_round_trip(self):
         gp = GaussianParams([1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]])
@@ -216,3 +233,48 @@ class TestLogDensity:
         want = -0.5 * math.log(2 * math.pi) - 0.5 * math.log(4.0) - 0.5
         assert log_density([2.0], gp) == pytest.approx(want, abs=1e-6)
         assert log_density([2.0], gp) == pytest.approx(-2.112086, abs=1e-6)
+
+
+class TestFactoredOnce:
+    """Parameters whose factor the library computed itself are wrapped
+    without the constructor's checks; they must be exactly what the
+    checked constructor makes of them."""
+
+    def test_no_checked_construction(self, monkeypatch):
+        data = np.random.default_rng(0).standard_normal((30, 2))
+        inits = [GaussianParams([0.5, 0.0], np.eye(2)), GaussianParams([0.0, 0.5], np.eye(2))]
+
+        def refuse(self):
+            raise AssertionError("checked constructor called")
+
+        monkeypatch.setattr(GaussianParams, "__post_init__", refuse)
+        assert len(subsample_inits(data, 10, 0)) == 10
+        mle_fit(data)
+        assert find_roots(data, EstimatorConfig(), inits).best is not None
+        grid = GridConfig(dims=(1, 2), size_factors=(3,), epsilons=(0.0, 0.2), mu_cs=(5.0,),
+                          sigma_cs=(1.0,), reps=2, seed=0, init=InitSpec("subsample", b=5))
+        assert all(cell.failures == 0 for cell in run_grid(grid).cells)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(8, 30), st.integers(1, 3)),
+            elements=st.floats(-10, 10).map(lambda v: round(v, 2)),
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_wrapped_equals_checked(self, data, seed):
+        try:
+            starts = subsample_inits(data, 10, seed)
+            mle = mle_fit(data)
+        except ValueError:  # too degenerate to fit
+            return
+        cfg = EstimatorConfig()
+        wrapped = [*starts, mle, GaussianParams.standard(data.shape[1]),
+                   fit(data, EstimatorConfig(max_iter=2), starts[0]).params,
+                   *(root.params for root in find_roots(data, cfg, starts).roots)]
+        for g in wrapped:
+            want = GaussianParams(g.mu, g.sigma)
+            assert g.chol.tobytes() == want.chol.tobytes()
+            assert g.log_det.hex() == want.log_det.hex()

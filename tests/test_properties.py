@@ -4,7 +4,7 @@ per sample, projection depth against the per-direction
 loop and against exact depth, the packed-key ranking against the tie
 rule, the residual lower bound, trimming and
 its median against ``np.median``, row-wise trimming against the 1-D
-call, the cached log-determinant, the
+call, the log-determinant from the factor, the
 rejection of non-finite samples at every entry point that takes one,
 and the JSON round trip of every config its constructor accepts."""
 

@@ -188,6 +188,44 @@ class TestGridConfigDict:
         with pytest.raises(ValueError, match=rf"^{name}\[{bad}\]: "):
             small_grid(**{name: tuple(entries)})
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: EstimatorConfig(tol=10**400), "tol"),
+        (lambda: WeightSpec.piecewise(1.0, 10**400, 0.3), "delta2"),
+        (lambda: ContaminationSpec(0.1, -10**400), "mu_c"),
+        (lambda: small_grid(sigma_cs=(1.0, 10**400)), r"sigma_cs\[1\]: sigma_c"),
+    ], ids=["tol", "delta2", "mu_c", "sigma_cs"])
+    def test_integer_too_large_for_a_float_named(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} is an integer too large for a float"):
+            make()
+
+    def test_integer_too_large_for_a_float_named_in_json(self):
+        blob = small_grid().to_dict()
+        blob["mu_cs"] = [10**400]
+        with pytest.raises(ValueError, match=r"invalid field: mu_cs\[0\]: mu_c is an integer"):
+            GridConfig.from_dict(json.loads(json.dumps(blob)))
+
+    def test_entries_stored_as_floats(self):
+        # built in Python from ints or read back from JSON: the same report
+        grid = small_grid(epsilons=(0, np.int64(0)), mu_cs=(5,), sigma_cs=(1,), reps=1)
+        assert all(type(v) is float for v in grid.epsilons + grid.mu_cs + grid.sigma_cs)
+        read = GridConfig.from_dict(json.loads(json.dumps(grid.to_dict())))
+        assert run_grid(grid).to_csv().encode() == run_grid(read).to_csv().encode()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(dims=(2, 3), init=InitSpec("custom", custom=(GaussianParams.standard(2),))),
+        dict(init=InitSpec("custom", custom=(GaussianParams.standard(2),
+                                             GaussianParams.standard(1)))),
+        dict(size_factors=(2, 1), init=InitSpec("subsample", b=5)),
+    ], ids=["custom-other-dims", "custom-mixed", "subsample-below-elemental-size"])
+    def test_starts_no_replication_can_make_rejected(self, overrides):
+        with pytest.raises(ValueError, match="^init: "):
+            small_grid(**overrides)
+        blob = small_grid().to_dict()
+        blob.update((k, list(v)) for k, v in overrides.items() if k != "init")
+        blob["init"] = overrides["init"].to_dict()
+        with pytest.raises(ValueError, match="^invalid field: init: "):
+            GridConfig.from_dict(blob)
+
     def test_contamination_range_named_by_list(self):
         blob = small_grid().to_dict()
         blob["epsilons"] = [0.1, 1.5]
@@ -244,11 +282,12 @@ class TestRunGrid:
     @pytest.mark.parametrize("overrides", [
         # mle_fit overflows
         dict(mu_cs=(1e160,), epsilons=(0.2,)),
-        # n = 5 is below the elemental subsample size 6
-        dict(size_factors=(1,), init=InitSpec("subsample", b=5)),
+        # the deepest half, contaminated rows 1e-300 apart, has a zero scatter
+        dict(epsilons=(0.6,), mu_cs=(0.0,), sigma_cs=(1e-300,),
+             init=InitSpec("depth_deterministic")),
         # no start converges
         dict(estimator=EstimatorConfig(max_iter=1, tol=1e-300)),
-    ], ids=["mle-overflow", "below-elemental-size", "no-convergence"])
+    ], ids=["mle-overflow", "depth-start-singular", "no-convergence"])
     def test_failures_recorded_not_fatal(self, overrides):
         report = run_grid(small_grid(reps=2, **overrides))
         for cell in report.cells:
@@ -338,9 +377,10 @@ class TestStackedCells:
         dict(init=InitSpec("subsample", b=6, seed=4)),
         dict(init=InitSpec("depth_deterministic")),
         dict(mu_cs=(1e160,), epsilons=(0.2,)),
-        dict(size_factors=(1,), init=InitSpec("subsample", b=5)),
+        dict(epsilons=(0.6,), mu_cs=(0.0,), sigma_cs=(1e-300,),
+             init=InitSpec("depth_deterministic")),
         dict(estimator=EstimatorConfig(max_iter=1, tol=1e-300)),
-    ], ids=["truth", "subsample", "depth", "mle-overflow", "below-elemental-size",
+    ], ids=["truth", "subsample", "depth", "mle-overflow", "depth-start-singular",
             "no-convergence"])
     def test_cells_equal_replication_loop(self, overrides):
         cfg = small_grid(**{"dims": (1, 2, 3), "epsilons": (0.0, 0.3), "reps": 3,
