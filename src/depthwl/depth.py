@@ -9,11 +9,11 @@ All functions are pure; data arrays are never modified.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianParams, _as_matrix, _check_integer, _fields, mahalanobis_sq
+from .gaussian import GaussianParams, _as_matrix, _check_integer, _fields, _record, mahalanobis_sq
 
 __all__ = [
     "DepthMethod",
@@ -127,7 +127,7 @@ class DepthMethod:
         return max(1000, 100 * p)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DepthMethod":

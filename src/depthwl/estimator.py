@@ -43,7 +43,7 @@ from .depth import DepthMethod, _as_depths, _model_depth, empirical_depths_all
 # Not called here: perfbench's tracer patches model depth at this name.
 from .depth import population_depth_gaussian  # noqa: F401
 from .gaussian import GaussianParams, _as_matrix, _check_integer, _check_real, _cholesky
-from .gaussian import _fields, _stack, _stacked_kl, _stacked_mahalanobis_sq, _unstack
+from .gaussian import _fields, _record, _stack, _stacked_kl, _stacked_mahalanobis_sq, _unstack
 from .gaussian import weighted_location_scatter
 # Not called here: perfbench's tracer patches the KL divergence at this name.
 from .gaussian import kl_gaussian  # noqa: F401
@@ -98,13 +98,7 @@ class EstimatorConfig:
         _check_integer("max_iter", self.max_iter, 1)
 
     def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.to_dict(),
-            "depth_method": self.depth_method.to_dict(),
-            "scatter_norm": self.scatter_norm,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-        }
+        return _record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorConfig":
@@ -137,15 +131,7 @@ class FitResult:
     message: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "weights": self.weights.tolist(),
-            "residuals": self.residuals.tolist(),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "sum_weights": self.sum_weights,
-            "message": self.message,
-        }
+        return _record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":
@@ -179,11 +165,7 @@ class RootSet:
         return None if self.selected is None else self.roots[self.selected]
 
     def to_dict(self) -> dict:
-        return {
-            "roots": [r.to_dict() for r in self.roots],
-            "selected": self.selected,
-            "diagnostics": self.diagnostics,
-        }
+        return _record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RootSet":

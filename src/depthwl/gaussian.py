@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class GaussianParams:
         return float(_log_det(self.chol))
 
     def to_dict(self) -> dict:
-        return {"mu": self.mu.tolist(), "sigma": self.sigma.tolist()}
+        return _record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianParams":
@@ -97,6 +97,19 @@ def _unstack(mu, sigma, chol) -> list:
     for params, row in zip(out, zip(mu, sigma, chol)):
         params.__dict__.update(zip(("mu", "sigma", "chol"), row))
     return out
+
+
+def _record(obj) -> dict:
+    """The JSON object of the dataclass ``obj``: its init fields by name,
+    in declaration order.  A value with ``to_dict`` goes through it;
+    arrays and tuples become lists."""
+    def value(v):
+        if hasattr(v, "to_dict"):
+            return v.to_dict()
+        if isinstance(v, tuple):
+            return [value(x) for x in v]
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return {f.name: value(getattr(obj, f.name)) for f in fields(obj) if f.init}
 
 
 def _check_integer(name: str, x, low: int | None = None) -> None:

@@ -22,7 +22,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .depth import (
     resolve_depth_method,
 )
 from .estimator import EstimatorConfig, _root_sets, _starts, fit
-from .gaussian import GaussianParams, _check_integer, _check_real, _fields, _mle_fits
+from .gaussian import GaussianParams, _check_integer, _check_real, _fields, _mle_fits, _record
 from .gaussian import _stack, _stacked_kl, mle_fit
 # Not called here: perfbench's tracer patches root finding and the KL
 # divergence at these names.
@@ -181,17 +181,7 @@ class GridConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "size_factors": list(self.size_factors),
-            "epsilons": list(self.epsilons),
-            "mu_cs": list(self.mu_cs),
-            "sigma_cs": list(self.sigma_cs),
-            "reps": self.reps,
-            "seed": self.seed,
-            "estimator": self.estimator.to_dict(),
-            "init": self.init.to_dict(),
-        }
+        return _record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridConfig":
@@ -208,13 +198,6 @@ class GridConfig:
             return cls(**kw)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"invalid field: {exc}") from None
-
-
-CSV_COLUMNS = (
-    "p", "s", "n", "epsilon", "mu_c", "sigma_c",
-    "reps", "failures", "retrieved",
-    "mean_mse", "mean_kl", "mle_mean_mse", "mle_mean_kl",
-)
 
 
 @dataclass(frozen=True)
@@ -243,6 +226,9 @@ class CellResult:
 
     def row(self) -> list:
         return [getattr(self, c) for c in CSV_COLUMNS]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(CellResult))
 
 
 @dataclass(frozen=True)
@@ -383,20 +369,7 @@ class BreakdownReport:
     contaminated_params: GaussianParams
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "m": self.m,
-            "distance": self.distance,
-            "displacement": self.displacement,
-            "eigenvalue_min": self.eigenvalue_min,
-            "eigenvalue_max": self.eigenvalue_max,
-            "outlier_weight_sum": self.outlier_weight_sum,
-            "clean_converged": self.clean_converged,
-            "contaminated_converged": self.contaminated_converged,
-            "clean_params": self.clean_params.to_dict(),
-            "contaminated_params": self.contaminated_params.to_dict(),
-        }
+        return _record(self)
 
 
 def breakdown_experiment(

@@ -1,9 +1,13 @@
 """Cross-module behavioral invariants of the weighted-likelihood flow."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
+import pytest
 
+import depthwl
 from depthwl import (
     DepthMethod,
     EstimatorConfig,
@@ -12,6 +16,7 @@ from depthwl import (
     InitSpec,
     RootSet,
     WeightSpec,
+    breakdown_experiment,
     efficiency,
     empirical_depths_all,
     find_roots,
@@ -109,6 +114,51 @@ class TestRootSetSerialization:
             assert np.array_equal(r1.params.mu, r2.params.mu)
             assert np.array_equal(r1.weights, r2.weights)
             assert r1.converged == r2.converged
+
+
+def _records():
+    """One of each record whose JSON object is its init fields."""
+    rng = np.random.default_rng(35)
+    data = rng.standard_normal((30, 2))
+    roots = find_roots(data, EstimatorConfig(), subsample_inits(data, 4, seed=1))
+    grid = GridConfig((2,), (2,), (0.1,), (5.0,), (1.0,), 2, 0,
+                      init=InitSpec.from_dict({"strategy": "subsample", "B": 3, "seed": 4}))
+    return {
+        "FitResult": roots.roots[0],
+        "RootSet": roots,
+        "EstimatorConfig": EstimatorConfig(depth_method=DepthMethod.projection(20, 3)),
+        "GridConfig": grid,
+        "GaussianParams": GaussianParams.standard(3),
+        "BreakdownReport": breakdown_experiment(30, 2, 5, 1e4, EstimatorConfig(), seed=5),
+    }
+
+
+RECORDS = _records()
+
+
+class TestRecordSerialization:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_keys_are_init_fields_in_order(self, name):
+        record = RECORDS[name]
+        init_fields = [f.name for f in dataclasses.fields(record) if f.init]
+        assert list(record.to_dict()) == init_fields
+
+    @pytest.mark.parametrize("name", [n for n in RECORDS if n != "BreakdownReport"])
+    def test_round_trip_through_json(self, name):
+        record = RECORDS[name]
+        blob = json.dumps(record.to_dict())
+        back = type(record).from_dict(json.loads(blob))
+        assert json.dumps(back.to_dict()) == blob
+
+
+class TestPackageExports:
+    MODULES = ("depth", "estimator", "gaussian", "initializers", "residuals", "simulation")
+
+    def test_all_is_the_union_of_the_module_lists(self):
+        names = [n for m in self.MODULES for n in getattr(depthwl, m).__all__]
+        assert sorted(depthwl.__all__) == sorted(names)
+        assert len(set(depthwl.__all__)) == len(depthwl.__all__)
+        assert all(hasattr(depthwl, name) for name in depthwl.__all__)
 
 
 class TestResidualBounds:
