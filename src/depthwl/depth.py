@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianParams, _as_matrix, _check_integer, _fields, _record, mahalanobis_sq
+from .gaussian import GaussianParams, _as_matrix, _check_integer, _fields, _float_array, _record
+from .gaussian import mahalanobis_sq
 
 __all__ = [
     "DepthMethod",
@@ -479,7 +480,7 @@ def empirical_depths_all(data, method: DepthMethod) -> np.ndarray:
     model parameters.  Every entry lies in [1/n, 1] because each point
     belongs to all closed half-spaces through itself.
     """
-    stack = np.asarray(data, dtype=np.float64)
+    stack = _float_array("data", data)
     if stack.ndim < 3:
         return empirical_depths(data, data, method)
     for sample in stack:
@@ -491,7 +492,7 @@ def _as_depths(name: str, depths, n: int) -> np.ndarray:
     """Caller-supplied ``empirical_depths_all`` of an n-row sample as an
     (n,) float array; ValueError naming ``name`` unless it has that
     shape and every entry is finite and in [0, 1]."""
-    depths = np.asarray(depths, dtype=np.float64)
+    depths = _float_array(name, depths)
     if depths.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {depths.shape}")
     if not np.all((depths >= 0.0) & (depths <= 1.0)):

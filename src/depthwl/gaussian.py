@@ -40,10 +40,7 @@ class GaussianParams:
 
     def __post_init__(self):
         for name in ("mu", "sigma"):
-            try:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-            except OverflowError:
-                raise ValueError(f"{name} holds an integer too large for a float") from None
+            object.__setattr__(self, name, _float_array(name, getattr(self, name)))
         mu, sigma = self.mu.reshape(-1), self.sigma
         if sigma.shape != (mu.size, mu.size):
             raise ValueError("sigma must be a p x p matrix matching mu")
@@ -73,6 +70,7 @@ class GaussianParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianParams":
+        d = _fields(d, ("mu", "sigma"), required=("mu", "sigma"))
         return cls(d["mu"], d["sigma"])
 
     @classmethod
@@ -147,12 +145,24 @@ def _fields(d, allowed, required=()) -> dict:
     return d
 
 
+def _float_array(name: str, x) -> np.ndarray:
+    """``x`` as a float64 array; ValueError naming ``name`` when an entry
+    is not a real number or is an integer too large for a float."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer too large for a float") from None
+    except TypeError:
+        raise ValueError(f"{name} must hold real numbers only") from None
+
+
 def _as_matrix(data) -> np.ndarray:
     """``data`` as a float64 n x p matrix, a 1-D array as one column.
 
     The one check of a sample and of depth query points: raises
-    ValueError unless the matrix is nonempty and free of NaN and inf."""
-    data = np.asarray(data, dtype=np.float64)
+    ValueError unless every entry is a real number a float can hold and
+    the matrix is nonempty and free of NaN and inf."""
+    data = _float_array("data", data)
     if data.ndim not in (1, 2) or data.size == 0:
         raise ValueError("data must be a nonempty n x p matrix")
     data = data.reshape(data.shape[0], -1)

@@ -192,7 +192,7 @@ class GridConfig:
             try:
                 if name in d:
                     kw[name] = reader(d[name])
-            except (KeyError, ValueError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"invalid field: {name} ({exc})") from None
         try:
             return cls(**kw)

@@ -149,6 +149,22 @@ class TestFitCommand:
         assert code == 1
         assert "mu holds an integer too large for a float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blob, problem", [
+        ({"sigma": [[1.0, 0.0], [0.0, 1.0]]}, "missing fields: ['mu']"),
+        ({"mu": {"a": 1}, "sigma": [[1.0, 0.0], [0.0, 1.0]]}, "mu must hold real numbers"),
+        ([5], "expected a JSON object, got 5"),
+    ])
+    def test_malformed_init_file_exit_1(self, clean_csv, tmp_path, capsys, blob, problem):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(blob))
+        code = main([
+            "fit", "--input", clean_csv, "--init", "file",
+            "--init-file", str(init),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and problem in err
+
     def test_init_depth(self, clean_csv, tmp_path):
         out = tmp_path / "d.json"
         code = main([

@@ -5,7 +5,8 @@ loop and against exact depth, the packed-key ranking against the tie
 rule, the residual lower bound, trimming and
 its median against ``np.median``, row-wise trimming against the 1-D
 call, the log-determinant from the factor, the
-rejection of non-finite samples at every entry point that takes one,
+rejection of non-finite samples and of integers too large for a float
+at every entry point that takes a sample,
 and the JSON round trip of every config its constructor accepts."""
 
 import json
@@ -413,11 +414,15 @@ ENTRY_POINTS = {
         elements=st.floats(-1e3, 1e3),
     ),
     st.data(),
-    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.sampled_from([(np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+                     (10**400, "data holds an integer too large for a float")]),
 )
 def test_non_finite_row_rejected(entry, data, draw, bad):
-    data[draw.draw(st.integers(0, data.shape[0] - 1))] = bad
-    with pytest.raises(ValueError, match="finite"):
+    value, message = bad
+    if isinstance(value, int):  # a float64 array cannot hold it
+        data = data.astype(object)
+    data[draw.draw(st.integers(0, data.shape[0] - 1))] = value
+    with pytest.raises(ValueError, match=message):
         entry(data)
 
 
