@@ -146,14 +146,15 @@ def _fields(d, allowed, required=()) -> dict:
 
 
 def _float_array(name: str, x) -> np.ndarray:
-    """``x`` as a float64 array; ValueError naming ``name`` when an entry
-    is not a real number or is an integer too large for a float."""
+    """``x`` as a float64 array; ValueError naming ``name`` when it is
+    not a rectangular array of real numbers (a string or object entry,
+    a ragged row) or holds an integer too large for a float."""
     try:
         return np.asarray(x, dtype=np.float64)
     except OverflowError:
         raise ValueError(f"{name} holds an integer too large for a float") from None
-    except TypeError:
-        raise ValueError(f"{name} must hold real numbers only") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a rectangular array of real numbers") from None
 
 
 def _as_matrix(data) -> np.ndarray:

@@ -151,7 +151,8 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("blob, problem", [
         ({"sigma": [[1.0, 0.0], [0.0, 1.0]]}, "missing fields: ['mu']"),
-        ({"mu": {"a": 1}, "sigma": [[1.0, 0.0], [0.0, 1.0]]}, "mu must hold real numbers"),
+        ({"mu": {"a": 1}, "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+         "mu must be a rectangular array of real numbers"),
         ([5], "expected a JSON object, got 5"),
     ])
     def test_malformed_init_file_exit_1(self, clean_csv, tmp_path, capsys, blob, problem):

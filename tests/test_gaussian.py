@@ -97,6 +97,13 @@ class TestMle:
         with pytest.raises(ValueError, match="overflows float64"):
             mle_fit(data)
 
+    @pytest.mark.parametrize("data", [
+        {"a": 1}, [[1.0, "x"], [2.0, 3.0]], [[1.0, 2.0], [3.0]],
+    ], ids=["dict", "string entry", "ragged"])
+    def test_unconvertible_sample_named(self, data):
+        with pytest.raises(ValueError, match="^data must be a rectangular array of real numbers$"):
+            mle_fit(data)
+
     def test_univariate_pair(self):
         got = mle_fit([[0.0], [2.0]])
         assert got.mu[0] == pytest.approx(1.0)
