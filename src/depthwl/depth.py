@@ -37,11 +37,12 @@ _KINDS = ("auto", "exact", "projection")
 # Angle (rad) before an arc's end where the 2-D sweep checks for exact ties.
 _TIE_RAD = 1e-9
 
-# Directions ranked at once: a block's packed keys and counts take a few
-# _BLOCK x (n + queries) int64 arrays, far below a chunk's n x 512
-# projections.  Query-to-point offsets swept at once, over the queries of
-# as many datasets as fit: a few thousand keep the sweep's arrays in cache,
-# and larger batches only add memory.
+# Directions projected and ranked at once: a call's projections, packed
+# keys and counts take a few _BLOCK x (n + queries) arrays, made once and
+# reused by every block, so memory does not grow with the direction count
+# and each block's arrays stay in cache.  Query-to-point offsets swept at
+# once, over the queries of as many datasets as fit: a few thousand keep
+# the sweep's arrays in cache, and larger batches only add memory.
 _BLOCK = 32
 _BATCH = 1 << 13
 
@@ -183,7 +184,8 @@ def population_depth_gaussian(x, params: GaussianParams):
     everywhere; results that underflow are clamped to the smallest
     positive normal double.
 
-    ``x`` may be a single p-vector or an (n, p) matrix of rows.
+    ``x`` may be a single p-vector or an (n, p) matrix of rows, checked
+    as by ``mahalanobis_sq``.
     """
     depth = _model_depth(np.asarray(mahalanobis_sq(x, params)))
     return float(depth) if depth.ndim == 0 else depth
@@ -334,7 +336,17 @@ def _closed_tail_counts(proj: np.ndarray, n: int, order: np.ndarray) -> np.ndarr
     return below
 
 
-def _min_tail_counts(rows: np.ndarray, n: int) -> np.ndarray:
+def _self_counts(n: int, r: int) -> np.ndarray:
+    """min(k + 1, n - k) for k < n, repeated r times: the least closed-tail
+    counts along each of r sorted rows of n distinct data entries."""
+    k = np.arange(n)
+    return np.tile(np.minimum(k + 1, n - k), r)
+
+
+def _min_tail_counts(
+    rows: np.ndarray, n: int, keys: np.ndarray | None = None,
+    scratch: np.ndarray | None = None, tiled: np.ndarray | None = None,
+) -> np.ndarray:
     """Each column's least closed-tail count over the rows of ``rows``
     (``_closed_tail_counts`` in argsort order, minimized over the rows),
     from one sort of packed keys.
@@ -350,15 +362,24 @@ def _min_tail_counts(rows: np.ndarray, n: int) -> np.ndarray:
     one tie rule, in the key order; that order is argsorted first in the
     rows where it is not ascending (a clash joined distinct values, or
     NaN).
+
+    ``keys`` and ``scratch`` are C-contiguous int64 work arrays of at
+    least r rows of m, overwritten, and ``tiled``, read when m == n,
+    is ``_self_counts(n, R)`` for some R >= r.  A caller ranking many
+    blocks passes them, so that no block allocates an array of its size;
+    without them they are made here.
     """
-    m = rows.shape[1]
+    r, m = rows.shape
     b = (m - 1).bit_length()
-    keys = np.add(rows, 0.0, order="C").view(np.int64)
-    keys ^= (keys >> 63) & _MAGNITUDE
+    keys = np.empty((r, m), dtype=np.int64) if keys is None else keys[:r]
+    scratch = np.empty((r, m), dtype=np.int64) if scratch is None else scratch[:r]
+    np.add(rows, 0.0, out=keys.view(np.float64))
+    sign = np.right_shift(keys, 63, out=scratch)
+    keys ^= np.bitwise_and(sign, _MAGNITUDE, out=sign)
     keys &= np.int64(-1 << b)
     keys |= np.arange(m)
     keys.sort(axis=1)
-    col = keys & ((1 << b) - 1)
+    col = np.bitwise_and(keys, (1 << b) - 1, out=scratch)
     top = np.right_shift(keys, b, out=keys)
     lim = _INF_KEY >> b
     clean = (top[:, 1:] != top[:, :-1]).all(axis=1)
@@ -367,11 +388,10 @@ def _min_tail_counts(rows: np.ndarray, n: int) -> np.ndarray:
     order = col[clean] if tied else col
     if m > n:
         is_data = order < n
-        upto = np.cumsum(is_data, axis=1)
-        counts = np.minimum(upto, n - upto + is_data)
+        upto = np.cumsum(is_data, axis=1, out=keys[:order.shape[0]])
+        counts = np.minimum(upto, n - upto + is_data, out=upto)
     else:
-        k = np.arange(n)
-        counts = np.tile(np.minimum(k + 1, n - k), order.shape[0])
+        counts = _self_counts(n, order.shape[0]) if tiled is None else tiled[:order.size]
     # ufunc.at is fast only for one flat index array and values of its
     # shape (broadcast values crash numpy 2.4 on large inputs).
     best = np.full(m, n, dtype=np.int64)
@@ -392,13 +412,19 @@ def _projection_depths(
 
     Each direction contributes the one-dimensional depth of the
     projected query among the projected data (both closed tails), so
-    antipodal directions come for free.  Chunks of 512 directions are
-    ranked _BLOCK at a time by ``_min_tail_counts``, queries other than
-    the data merged into the data's rows.
+    antipodal directions come for free.  Directions are drawn 512 at a
+    time and projected and ranked _BLOCK at a time, queries other than
+    the data stacked below the data's rows, in buffers made once per
+    call: memory is O(_BLOCK (n + q)) whatever the direction count.
     """
     n, p = data.shape
     q = queries.shape[0]
-    same = np.array_equal(queries, data)
+    pts = data if np.array_equal(queries, data) else np.concatenate([data, queries])
+    m = pts.shape[0]
+    proj = np.empty(m * _BLOCK)
+    keys = np.empty((_BLOCK, m), dtype=np.int64)
+    scratch = np.empty_like(keys)
+    tiled = _self_counts(n, _BLOCK) if m == n else None
     rng = _rng(seed)
     best = np.full(q, n + 1, dtype=np.int64)
     remaining = n_directions
@@ -408,10 +434,11 @@ def _projection_depths(
         norms = np.linalg.norm(u, axis=1)
         ok = norms > 0
         u = u[ok] / norms[ok, None]
-        proj = [data @ u.T] if same else [data @ u.T, queries @ u.T]
         for j in range(0, u.shape[0], _BLOCK):
-            rows = np.concatenate([x[:, j:j + _BLOCK].T for x in proj], axis=1)
-            np.minimum(best, _min_tail_counts(rows, n)[-q:], out=best)
+            block = u[j:j + _BLOCK]
+            rows = np.matmul(pts, block.T, out=proj[:m * block.shape[0]].reshape(m, -1))
+            counts = _min_tail_counts(rows.T, n, keys, scratch, tiled)
+            np.minimum(best, counts[-q:], out=best)
         remaining -= chunk
     return best / n
 

@@ -184,11 +184,18 @@ def mahalanobis_sq(x, params: GaussianParams):
     Computed through a triangular solve against the Cholesky factor, a
     stack of one of ``_stacked_mahalanobis_sq``.  ``x`` may be a single
     p-vector or an (n, p) matrix; the result is a scalar or a length-n
-    vector accordingly.
+    vector accordingly.  ValueError names ``x`` unless it has one of
+    those shapes and its entries are finite real numbers.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array("x", x)
     single = x.ndim < 2
-    d2 = _stacked_mahalanobis_sq(np.atleast_2d(x)[None], params.mu[None], params.chol[None])
+    if x.ndim > 2 or np.atleast_1d(x).shape[-1] != params.p:
+        raise ValueError(f"x must be a {params.p}-vector or an n x {params.p} matrix, "
+                         f"got shape {x.shape}")
+    x = np.atleast_2d(x)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite (no NaN or inf)")
+    d2 = _stacked_mahalanobis_sq(x[None], params.mu[None], params.chol[None])
     return float(d2[0, 0]) if single else d2[0]
 
 
@@ -325,6 +332,7 @@ def _stacked_kl(mu0, chol0, mu1, chol1) -> np.ndarray:
 
 
 def log_density(x, params: GaussianParams):
-    """Gaussian log-density; ``x`` a p-vector or (n, p) matrix."""
+    """Gaussian log-density; ``x`` a p-vector or (n, p) matrix, checked
+    as by ``mahalanobis_sq``."""
     d2 = mahalanobis_sq(x, params)
     return -0.5 * (params.p * np.log(2.0 * np.pi) + params.log_det + d2)

@@ -2,6 +2,7 @@
 projection bounds, and the closed-form Gaussian depth."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -330,6 +331,19 @@ class TestProjection:
         a = empirical_depths_all(data, DepthMethod.projection(200, seed=77))
         b = empirical_depths_all(data, DepthMethod.projection(200, seed=77))
         assert np.array_equal(a, b)
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # The benchmark's shape: n = 3200 points in the plane, 4000
+        # directions.  A block's work arrays take a few _BLOCK x n
+        # doubles; 512-direction chunks of projections took about 27 MB.
+        data = np.random.default_rng(14).standard_normal((3200, 2))
+        tracemalloc.start()
+        try:
+            empirical_depths_all(data, DepthMethod.projection(4000, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestDepthVectorInvariants:

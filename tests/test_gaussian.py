@@ -21,6 +21,7 @@ from depthwl import (
     log_density,
     mahalanobis_sq,
     mle_fit,
+    population_depth_gaussian,
     run_grid,
     subsample_inits,
 )
@@ -84,6 +85,24 @@ class TestMahalanobis:
         gp = GaussianParams.standard(2)
         got = mahalanobis_sq([[3.0, 4.0], [0.0, 0.0]], gp)
         assert np.allclose(got, [25.0, 0.0])
+
+    # Each function of a point under a model, and each point it must
+    # refuse by name: a float cannot hold the first, the second has no
+    # distance, the third has no coordinate for the model's second axis.
+    POINT_FUNCTIONS = {"mahalanobis_sq": mahalanobis_sq, "log_density": log_density,
+                       "population_depth_gaussian": population_depth_gaussian}
+    BAD_POINTS = {
+        "huge": ([[0.0, 1.0], [10**400, 0.0]], "^x holds an integer too large for a float"),
+        "nan": ([[0.0, 1.0], [np.nan, 0.0]], "^x must be finite"),
+        "dimension": ([[0.0, 1.0, 2.0]], r"^x must be a 2-vector or an n x 2 matrix, got shape \(1, 3\)"),
+    }
+
+    @pytest.mark.parametrize("point", BAD_POINTS.values(), ids=BAD_POINTS.keys())
+    @pytest.mark.parametrize("function", POINT_FUNCTIONS.values(), ids=POINT_FUNCTIONS.keys())
+    def test_bad_point_named(self, function, point):
+        x, message = point
+        with pytest.raises(ValueError, match=message):
+            function(x, GaussianParams.standard(2))
 
 
 class TestMle:

@@ -225,6 +225,34 @@ def test_projection_matches_per_direction_loop_overflow():
         assert np.array_equal(got, want)
 
 
+# Each 512-direction chunk is projected and ranked a block at a time.
+# 1100 directions end on a chunk of 76 (two blocks and one of 12), 4000
+# on one of 416.  At p = 40 and 80 with few points the per-block product
+# may differ in its last bits from the reference's per-chunk product.
+BLOCK_CASES = ([(1000, p, k, "near-tie") for p in (2, 10, 40) for k in (1100, 4000)]
+               + [(n, p, 1100, kind) for p in (40, 80) for n in (30, 100)
+                  for kind in ("normal", "integer")])
+
+
+@pytest.mark.parametrize("other_queries", [False, True], ids=["self", "queries"])
+@pytest.mark.parametrize("n, p, n_directions, kind", BLOCK_CASES,
+                         ids=["-".join(map(str, case)) for case in BLOCK_CASES])
+def test_blockwise_projection_matches_per_chunk_product(n, p, n_directions, kind, other_queries):
+    rng = np.random.default_rng(n + p)
+    if kind == "integer":
+        data = rng.integers(-3, 4, (n, p)).astype(np.float64)
+    else:
+        data = rng.standard_normal((n, p))
+    if kind == "near-tie":
+        # Two rows 1e-11 apart clash in the packed keys of a few directions
+        # (the tie path) beside clean ones in a block; most blocks are clean.
+        data[1] = data[0] + 1e-11 * rng.standard_normal(p)
+    queries = rng.standard_normal((40, p)) if other_queries else data
+    got = empirical_depths(queries, data, DepthMethod.projection(n_directions, seed=p))
+    want = reference_projection_depths(data, queries, n_directions, p)
+    assert got.tobytes() == want.tobytes()
+
+
 # Row widths where the column-index bit count changes, and width 1.
 TAIL_WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
 
