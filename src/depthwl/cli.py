@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def load_csv_dataset(path) -> np.ndarray:
                 raise CsvError(
                     f"{path}: line {lineno}: non-numeric value in data row"
                 ) from None
-            if not all(np.isfinite(values)):
+            if not all(map(math.isfinite, values)):
                 raise CsvError(f"{path}: line {lineno}: non-finite value")
             if width is None:
                 width = len(values)

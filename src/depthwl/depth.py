@@ -40,22 +40,18 @@ _TIE_RAD = 1e-9
 # Directions projected and ranked at once: a call's projections, packed
 # keys and counts take a few _BLOCK x (n + queries) arrays, made once and
 # reused by every block, so memory does not grow with the direction count
-# and each block's arrays stay in cache.  Query-to-point offsets swept at
-# once, over the queries of as many datasets as fit: a few thousand keep
-# the sweep's arrays in cache, and larger batches only add memory.
-_BLOCK = 32
+# and each block's arrays stay in cache.  On n = 3200 points, blocks of
+# 8, 16 and 32 directions rank equally fast within timing noise and 4 is
+# slower; 8 takes the least memory of the three.
+# Query-to-point offsets swept at once, over the queries of as many
+# datasets as fit: a few thousand keep the sweep's arrays in cache, and
+# larger batches only add memory.
+_BLOCK = 8
 _BATCH = 1 << 13
 
 # Data reaching _HUGE in magnitude are scaled by _SHRINK, exactly, so that
 # projections and 2-D offsets stay below DBL_MAX.
 _HUGE, _SHRINK = 2.0**1000, 2.0**-24
-
-# ``_min_tail_counts`` turns a double's bits into an int64 key that
-# orders like the value by flipping the magnitude bits of negative
-# values; the key of -x is then ~key(x), so finite values have keys
-# strictly between ~_INF_KEY and _INF_KEY, the bits of +inf.
-_MAGNITUDE = np.int64(0x7FFFFFFFFFFFFFFF)
-_INF_KEY = int(np.float64(np.inf).view(np.int64))
 
 # Cephes ndtr.c erfc: rational approximations on [0, 1) (as 1 - erf,
 # T/U in x**2), [1, 8) (P/Q) and [8, inf) (R/S), each leading
@@ -343,64 +339,79 @@ def _self_counts(n: int, r: int) -> np.ndarray:
     return np.tile(np.minimum(k + 1, n - k), r)
 
 
+def _work_arrays(r: int, m: int, n: int) -> np.ndarray:
+    """Work arrays for ``_min_tail_counts`` on up to r rows of m entries,
+    the first n of them data: int64 (2, r, m), or (3, r, m) when m > n."""
+    return np.empty((2 + (m > n), r, m), dtype=np.int64)
+
+
 def _min_tail_counts(
-    rows: np.ndarray, n: int, keys: np.ndarray | None = None,
-    scratch: np.ndarray | None = None, tiled: np.ndarray | None = None,
+    rows: np.ndarray, n: int, work: np.ndarray | None = None,
+    tiled: np.ndarray | None = None, best: np.ndarray | None = None,
 ) -> np.ndarray:
     """Each column's least closed-tail count over the rows of ``rows``
     (``_closed_tail_counts`` in argsort order, minimized over the rows),
     from one sort of packed keys.
 
-    An entry's key is its value's order-preserving int64 image (-0.0
-    made +0.0 first) with the low b = (m - 1).bit_length() bits replaced
-    by its column index, m the row width.  In a row whose truncated keys
-    all differ and are finite the values are distinct and the sort gives
-    their order, so the entry at sorted position k with ``upto`` data
-    entries at or before it counts min(upto, n - upto + is_data).  Rows
-    with equal truncated keys (exact ties, duplicate columns, near ties)
-    or with non-finite values go through ``_closed_tail_counts``, the
-    one tie rule, in the key order; that order is argsorted first in the
-    rows where it is not ascending (a clash joined distinct values, or
-    NaN).
+    An entry's key is the double whose bits are its value's (-0.0 made
+    +0.0 first) with the low b = (m - 1).bit_length() bits replaced by
+    its column index, m the row width; the keys are sorted as doubles.
+    The keys of one sign and truncated magnitude fill a range of doubles
+    holding no other key, so in a row whose truncated values all differ
+    and are finite the values are distinct and the sort gives their
+    order: the entry at sorted position k with ``upto`` data entries at
+    or before it counts min(upto, n - upto + is_data).  Distinct finite
+    keys compare equal only as -0.0 and +0.0, and both would need column
+    0.  Rows with equal truncated values (exact ties, duplicate columns,
+    near ties) go through ``_closed_tail_counts``, the one tie rule, in
+    the key order, argsorted first where it is not ascending (a clash
+    joined distinct values).  So do rows holding a non-finite value:
+    +-inf in column 0 keeps its value as key and any other makes a NaN
+    key, which sorts last, so the first or last key is not finite.
+    Those rows are always argsorted, because the sort may store every
+    NaN key as one canonical NaN, losing its column index.
 
-    ``keys`` and ``scratch`` are C-contiguous int64 work arrays of at
-    least r rows of m, overwritten, and ``tiled``, read when m == n,
-    is ``_self_counts(n, R)`` for some R >= r.  A caller ranking many
-    blocks passes them, so that no block allocates an array of its size;
-    without them they are made here.
+    ``work``, overwritten, is C-contiguous int64 of shape (2, R, m), or
+    (3, R, m) when m > n, with R >= r (``_work_arrays``), and ``tiled``,
+    read when m == n, is ``_self_counts(n, R)``.  The counts are
+    minimized into ``best``, an int64 (m,) array, and it is returned; it
+    starts at n when not given.  A caller ranking many blocks passes all
+    three, so that no block allocates an array of its size.
     """
     r, m = rows.shape
     b = (m - 1).bit_length()
-    keys = np.empty((r, m), dtype=np.int64) if keys is None else keys[:r]
-    scratch = np.empty((r, m), dtype=np.int64) if scratch is None else scratch[:r]
-    np.add(rows, 0.0, out=keys.view(np.float64))
-    sign = np.right_shift(keys, 63, out=scratch)
-    keys ^= np.bitwise_and(sign, _MAGNITUDE, out=sign)
+    work = _work_arrays(r, m, n) if work is None else work[:, :r]
+    keys, col = work[0], work[1]
+    fkeys = keys.view(np.float64)
+    np.add(rows, 0.0, out=fkeys)
     keys &= np.int64(-1 << b)
     keys |= np.arange(m)
-    keys.sort(axis=1)
-    col = np.bitwise_and(keys, (1 << b) - 1, out=scratch)
+    fkeys.sort(axis=1)
+    finite = np.isfinite(fkeys[:, 0]) & np.isfinite(fkeys[:, -1])
+    np.bitwise_and(keys, (1 << b) - 1, out=col)
     top = np.right_shift(keys, b, out=keys)
-    lim = _INF_KEY >> b
     clean = (top[:, 1:] != top[:, :-1]).all(axis=1)
-    clean &= (top[:, 0] > ~lim) & (top[:, -1] < lim)
+    clean &= finite
     tied = not clean.all()
     order = col[clean] if tied else col
     if m > n:
-        is_data = order < n
-        upto = np.cumsum(is_data, axis=1, out=keys[:order.shape[0]])
-        counts = np.minimum(upto, n - upto + is_data, out=upto)
+        k = order.shape[0]
+        is_data = np.less(order, n, out=work[2, :k])
+        upto = np.cumsum(is_data, axis=1, out=keys[:k])
+        is_data += n
+        counts = np.minimum(upto, np.subtract(is_data, upto, out=is_data), out=upto)
     else:
         counts = _self_counts(n, order.shape[0]) if tiled is None else tiled[:order.size]
+    if best is None:
+        best = np.full(m, n, dtype=np.int64)
     # ufunc.at is fast only for one flat index array and values of its
     # shape (broadcast values crash numpy 2.4 on large inputs).
-    best = np.full(m, n, dtype=np.int64)
     np.minimum.at(best, order.ravel(), counts.ravel())
     if tied:
         rest, order = rows[~clean], col[~clean]
         srt = np.take_along_axis(rest, order, axis=1)
-        unsorted = ~(srt[:, 1:] >= srt[:, :-1]).all(axis=1)
-        order[unsorted] = rest[unsorted].argsort(axis=1)
+        resort = ~(srt[:, 1:] >= srt[:, :-1]).all(axis=1) | ~finite[~clean]
+        order[resort] = rest[resort].argsort(axis=1)
         np.minimum(best, _closed_tail_counts(rest, n, order).min(axis=0), out=best)
     return best
 
@@ -414,19 +425,19 @@ def _projection_depths(
     projected query among the projected data (both closed tails), so
     antipodal directions come for free.  Directions are drawn 512 at a
     time and projected and ranked _BLOCK at a time, queries other than
-    the data stacked below the data's rows, in buffers made once per
+    the data stacked after the data's points, in buffers made once per
     call: memory is O(_BLOCK (n + q)) whatever the direction count.
     """
     n, p = data.shape
     q = queries.shape[0]
     pts = data if np.array_equal(queries, data) else np.concatenate([data, queries])
     m = pts.shape[0]
-    proj = np.empty(m * _BLOCK)
-    keys = np.empty((_BLOCK, m), dtype=np.int64)
-    scratch = np.empty_like(keys)
+    pts_t = np.ascontiguousarray(pts.T)
+    proj = np.empty((_BLOCK, m))
+    work = _work_arrays(_BLOCK, m, n)
     tiled = _self_counts(n, _BLOCK) if m == n else None
     rng = _rng(seed)
-    best = np.full(q, n + 1, dtype=np.int64)
+    best = np.full(m, n + 1, dtype=np.int64)
     remaining = n_directions
     while remaining > 0:
         chunk = min(remaining, 512)
@@ -436,11 +447,10 @@ def _projection_depths(
         u = u[ok] / norms[ok, None]
         for j in range(0, u.shape[0], _BLOCK):
             block = u[j:j + _BLOCK]
-            rows = np.matmul(pts, block.T, out=proj[:m * block.shape[0]].reshape(m, -1))
-            counts = _min_tail_counts(rows.T, n, keys, scratch, tiled)
-            np.minimum(best, counts[-q:], out=best)
+            rows = np.matmul(block, pts_t, out=proj[:block.shape[0]])
+            _min_tail_counts(rows, n, work, tiled, best)
         remaining -= chunk
-    return best / n
+    return best[-q:] / n
 
 
 def _stacked_depths(data: np.ndarray, queries: np.ndarray, method: DepthMethod) -> np.ndarray:

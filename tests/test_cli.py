@@ -75,6 +75,13 @@ class TestCsvIngestion:
         with pytest.raises(CsvError, match="line 2"):
             load_csv_dataset(str(p))
 
+    def test_infinite_cell_after_blank_line_names_its_line(self, tmp_path):
+        # blank lines are skipped but still counted
+        p = tmp_path / "g.csv"
+        p.write_text("x,y\n1,2\n\n3,inf\n")
+        with pytest.raises(CsvError, match=r"g\.csv: line 4: non-finite value$"):
+            load_csv_dataset(str(p))
+
 
 class TestFitCommand:
     def test_two_clusters_multiple_roots(self, tmp_path, capsys):

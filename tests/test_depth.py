@@ -332,18 +332,24 @@ class TestProjection:
         b = empirical_depths_all(data, DepthMethod.projection(200, seed=77))
         assert np.array_equal(a, b)
 
-    def test_peak_memory_is_a_few_blocks(self):
+    @pytest.mark.parametrize("n_queries, bound", [(0, 2e6), (500, 2.5e6)],
+                             ids=["self", "500-queries"])
+    def test_peak_memory_is_a_few_blocks(self, n_queries, bound):
         # The benchmark's shape: n = 3200 points in the plane, 4000
-        # directions.  A block's work arrays take a few _BLOCK x n
-        # doubles; 512-direction chunks of projections took about 27 MB.
-        data = np.random.default_rng(14).standard_normal((3200, 2))
+        # directions, with other queries stacked after the data or not.
+        # The projections and work arrays take a few _BLOCK x (n + q)
+        # doubles, about 1 MB; 512-direction chunks of projections took
+        # about 27 MB, and 32-direction blocks 3.5 MB.
+        rng = np.random.default_rng(14)
+        data = rng.standard_normal((3200, 2))
+        queries = rng.standard_normal((n_queries, 2)) if n_queries else data
         tracemalloc.start()
         try:
-            empirical_depths_all(data, DepthMethod.projection(4000, seed=0))
+            empirical_depths(queries, data, DepthMethod.projection(4000, seed=0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < bound
 
 
 class TestDepthVectorInvariants:

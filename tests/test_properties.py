@@ -308,6 +308,35 @@ def test_packed_key_counts_match_tie_rule(block):
 
 
 @PROPERTY
+@given(tail_rows())
+@example((np.array([[-5e-324, 0.0, 1.0]]), 3))  # key -0.0 beside a key holding +0.0
+@example((np.array([[-5e-324, 2.0, 0.0, -1.0]]), 2))
+@example((np.array([[-np.inf, 1.0, 2.0], [0.5, 1.5, 2.5]]), 3))
+@example((np.array([[1.0, np.inf, -np.inf, np.nan]]), 4))
+@example((np.array([[2.0, -np.inf, np.nan, np.inf, 1.0]]), 3))
+@example((np.array([[0.5, 1.5, 2.5], [1.0, -np.nan, np.inf]]), 2))
+def test_packed_key_counts_in_reused_work_arrays(block):
+    # As _projection_depths calls the kernel: each block's rows in a
+    # buffer of their own, work arrays with more rows than the block,
+    # left dirty by an earlier block, and one running minimum.
+    rows, n = block
+    r, m = rows.shape
+    work = depth._work_arrays(r + 2, m, n)
+    work[...] = np.random.default_rng(m).integers(-2**63, 2**63, work.shape, dtype=np.int64)
+    tiled = depth._self_counts(n, r + 2)
+    proj = np.empty((r + 2, m))
+    best = np.full(m, n + 1, dtype=np.int64)
+    want = best.copy()
+    for block_rows in (-rows[:, ::-1], rows):
+        proj[:r] = block_rows
+        assert depth._min_tail_counts(proj[:r], n, work, tiled, best) is best
+        assert proj[:r].tobytes() == block_rows.tobytes()
+        order = block_rows.argsort(axis=1)
+        np.minimum(want, depth._closed_tail_counts(block_rows, n, order).min(axis=0), out=want)
+        assert np.array_equal(best, want)
+
+
+@PROPERTY
 @given(
     st.sampled_from([1, 2]),
     st.integers(1, 15),
