@@ -37,16 +37,20 @@ _KINDS = ("auto", "exact", "projection")
 # Angle (rad) before an arc's end where the 2-D sweep checks for exact ties.
 _TIE_RAD = 1e-9
 
-# Directions projected and ranked at once: a call's projections, packed
-# keys and counts take a few _BLOCK x (n + queries) arrays, made once and
+# Projections ranked at once (``_block_rows``): a call's projections,
+# packed keys and counts take a few block-sized arrays, made once and
 # reused by every block, so memory does not grow with the direction count
-# and each block's arrays stay in cache.  On n = 3200 points, blocks of
-# 8, 16 and 32 directions rank equally fast within timing noise and 4 is
-# slower; 8 takes the least memory of the three.
+# and each block's arrays stay in cache.  A block costs some twenty numpy
+# calls whatever its size, so a small sample takes more directions per
+# block: self-depth with 1000 directions at p = 3, 5 and 10 (n = 90, 200
+# and 650) took 1.2-3x as long in blocks of 8 directions as in blocks of
+# 64-128 (16-128 at n = 650).  On n = 3200 points blocks of 8, 16 and 32
+# rank equally fast within timing noise and 4 is slower; 8 takes least
+# memory.
 # Query-to-point offsets swept at once, over the queries of as many
 # datasets as fit: a few thousand keep the sweep's arrays in cache, and
 # larger batches only add memory.
-_BLOCK = 8
+_BLOCK_ENTRIES = 1 << 14
 _BATCH = 1 << 13
 
 # Data reaching _HUGE in magnitude are scaled by _SHRINK, exactly, so that
@@ -416,6 +420,12 @@ def _min_tail_counts(
     return best
 
 
+def _block_rows(m: int) -> int:
+    """Directions projected and ranked at once for m points: the power of
+    two at or below _BLOCK_ENTRIES / m, from 8 to one 512-direction chunk."""
+    return min(1 << (max(_BLOCK_ENTRIES // m, 8).bit_length() - 1), 512)
+
+
 def _projection_depths(
     data: np.ndarray, queries: np.ndarray, n_directions: int, seed: int
 ) -> np.ndarray:
@@ -424,18 +434,19 @@ def _projection_depths(
     Each direction contributes the one-dimensional depth of the
     projected query among the projected data (both closed tails), so
     antipodal directions come for free.  Directions are drawn 512 at a
-    time and projected and ranked _BLOCK at a time, queries other than
-    the data stacked after the data's points, in buffers made once per
-    call: memory is O(_BLOCK (n + q)) whatever the direction count.
+    time and projected and ranked ``_block_rows(n + q)`` at a time,
+    queries other than the data stacked after the data's points, in
+    buffers made once per call: memory is O(max(8 (n + q), 16384))
+    whatever the direction count.
     """
     n, p = data.shape
     q = queries.shape[0]
     pts = data if np.array_equal(queries, data) else np.concatenate([data, queries])
     m = pts.shape[0]
-    pts_t = np.ascontiguousarray(pts.T)
-    proj = np.empty((_BLOCK, m))
-    work = _work_arrays(_BLOCK, m, n)
-    tiled = _self_counts(n, _BLOCK) if m == n else None
+    r = _block_rows(m)
+    proj = np.empty(m * r)
+    work = _work_arrays(r, m, n)
+    tiled = _self_counts(n, r) if m == n else None
     rng = _rng(seed)
     best = np.full(m, n + 1, dtype=np.int64)
     remaining = n_directions
@@ -445,10 +456,12 @@ def _projection_depths(
         norms = np.linalg.norm(u, axis=1)
         ok = norms > 0
         u = u[ok] / norms[ok, None]
-        for j in range(0, u.shape[0], _BLOCK):
-            block = u[j:j + _BLOCK]
-            rows = np.matmul(block, pts_t, out=proj[:block.shape[0]])
-            _min_tail_counts(rows, n, work, tiled, best)
+        for j in range(0, u.shape[0], r):
+            block = u[j:j + r]
+            # pts @ block.T, as the per-chunk product: block @ pts.T can
+            # round two copies of one point's projection differently.
+            rows = np.matmul(pts, block.T, out=proj[:m * block.shape[0]].reshape(m, -1))
+            _min_tail_counts(rows.T, n, work, tiled, best)
         remaining -= chunk
     return best[-q:] / n
 

@@ -337,7 +337,7 @@ class TestProjection:
     def test_peak_memory_is_a_few_blocks(self, n_queries, bound):
         # The benchmark's shape: n = 3200 points in the plane, 4000
         # directions, with other queries stacked after the data or not.
-        # The projections and work arrays take a few _BLOCK x (n + q)
+        # The projections and work arrays take a few 8 x (n + q)
         # doubles, about 1 MB; 512-direction chunks of projections took
         # about 27 MB, and 32-direction blocks 3.5 MB.
         rng = np.random.default_rng(14)

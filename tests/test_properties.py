@@ -225,13 +225,19 @@ def test_projection_matches_per_direction_loop_overflow():
         assert np.array_equal(got, want)
 
 
-# Each 512-direction chunk is projected and ranked a block at a time.
-# 1100 directions end on a chunk of 76 (two blocks and one of 12), 4000
-# on one of 416.  At p = 40 and 80 with few points the per-block product
-# may differ in its last bits from the reference's per-chunk product.
+# Each 512-direction chunk is projected and ranked a block at a time, of
+# 8 to 512 directions by sample size (``depth._block_rows``); 1100
+# directions end on a chunk of 76 and 4000 on one of 416, so most cases
+# end in a part block.  At p = 40 and 80 with few points the per-block
+# product may differ in its last bits from the reference's per-chunk
+# product.  Duplicated points fail a product that rounds two copies of a
+# point differently (at p = 20, block @ pts.T does).
 BLOCK_CASES = ([(1000, p, k, "near-tie") for p in (2, 10, 40) for k in (1100, 4000)]
                + [(n, p, 1100, kind) for p in (40, 80) for n in (30, 100)
-                  for kind in ("normal", "integer")])
+                  for kind in ("normal", "integer")]
+               + [(n, p, 1100, kind) for p in (2, 3) for n in (90, 300, 650)
+                  for kind in ("near-tie", "integer")]
+               + [(n, p, 1100, "duplicate") for p in (3, 20) for n in (90, 650)])
 
 
 @pytest.mark.parametrize("other_queries", [False, True], ids=["self", "queries"])
@@ -247,6 +253,9 @@ def test_blockwise_projection_matches_per_chunk_product(n, p, n_directions, kind
         # Two rows 1e-11 apart clash in the packed keys of a few directions
         # (the tie path) beside clean ones in a block; most blocks are clean.
         data[1] = data[0] + 1e-11 * rng.standard_normal(p)
+    if kind == "duplicate":
+        # Each point twice: both copies must project to the same value.
+        data[n // 2:] = data[:n - n // 2]
     queries = rng.standard_normal((40, p)) if other_queries else data
     got = empirical_depths(queries, data, DepthMethod.projection(n_directions, seed=p))
     want = reference_projection_depths(data, queries, n_directions, p)
