@@ -18,7 +18,6 @@ from .gaussian import mahalanobis_sq
 
 __all__ = [
     "DepthMethod",
-    "chi2_cdf",
     "population_depth_gaussian",
     "empirical_depth",
     "empirical_depths",
@@ -151,23 +150,6 @@ def resolve_depth_method(method: DepthMethod, p: int) -> DepthMethod:
     if method.kind == "exact":
         raise ValueError("exact depth is available only for p <= 2")
     return DepthMethod.projection(method.n_directions, method.direction_seed)
-
-
-def chi2_cdf(x, k: int):
-    """Chi-square CDF with ``k`` degrees of freedom.
-
-    Evaluates the regularized lower incomplete gamma function
-    P(k/2, x/2).  Accepts scalars or arrays of ``x``.
-    """
-    if k < 1:
-        raise ValueError("degrees of freedom must be a positive integer")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0):
-        raise ValueError("chi2_cdf requires x >= 0")
-    from scipy import special  # only here: keeps scipy off the import path
-
-    out = special.gammainc(0.5 * k, 0.5 * x)
-    return float(out) if out.ndim == 0 else out
 
 
 def population_depth_gaussian(x, params: GaussianParams):

@@ -133,18 +133,6 @@ class FitResult:
     def to_dict(self) -> dict:
         return _record(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitResult":
-        return cls(
-            params=GaussianParams.from_dict(d["params"]),
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            residuals=np.asarray(d["residuals"], dtype=np.float64),
-            iterations=int(d["iterations"]),
-            converged=bool(d["converged"]),
-            sum_weights=float(d["sum_weights"]),
-            message=d.get("message"),
-        )
-
 
 @dataclass(frozen=True)
 class RootSet:
@@ -166,14 +154,6 @@ class RootSet:
 
     def to_dict(self) -> dict:
         return _record(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RootSet":
-        return cls(
-            roots=tuple(FitResult.from_dict(r) for r in d["roots"]),
-            selected=d["selected"],
-            diagnostics=dict(d["diagnostics"]),
-        )
 
 
 class Step(NamedTuple):

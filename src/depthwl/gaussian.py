@@ -1,5 +1,5 @@
-"""Multivariate Gaussian family: Mahalanobis distance, log-density,
-closed-form MLE and Kullback-Leibler divergence.
+"""Multivariate Gaussian family: Mahalanobis distance, closed-form MLE
+and Kullback-Leibler divergence.
 
 The scatter matrix is always handled through its Cholesky factor; a
 factorization failure means the matrix is not symmetric positive
@@ -20,7 +20,6 @@ __all__ = [
     "mahalanobis_sq",
     "mle_fit",
     "kl_gaussian",
-    "log_density",
 ]
 
 _SYM_TOL = 1e-12
@@ -329,10 +328,3 @@ def _stacked_kl(mu0, chol0, mu1, chol1) -> np.ndarray:
         trace = trace + d2[:, i]
     kl = 0.5 * (trace + d2[:, p] - p + _log_det(chol1) - _log_det(chol0))
     return np.maximum(kl, 0.0)
-
-
-def log_density(x, params: GaussianParams):
-    """Gaussian log-density; ``x`` a p-vector or (n, p) matrix, checked
-    as by ``mahalanobis_sq``."""
-    d2 = mahalanobis_sq(x, params)
-    return -0.5 * (params.p * np.log(2.0 * np.pi) + params.log_det + d2)

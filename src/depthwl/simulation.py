@@ -1,5 +1,5 @@
-"""Monte Carlo harness: contaminated samples, factor grids, breakdown
-and residual-rate experiments.
+"""Monte Carlo harness: contaminated samples, factor grids and the
+breakdown experiment.
 
 Datasets mix N_p(0, I) rows with round(eps * n) contaminated rows from
 N_p((mu_c, ..., mu_c), sigma_c^2 I).  Every replication derives its
@@ -26,21 +26,16 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .depth import (
-    _rng,
-    empirical_depths_all,
-    population_depth_gaussian,
-    resolve_depth_method,
-)
+from .depth import _rng, empirical_depths_all, resolve_depth_method
 from .estimator import EstimatorConfig, _root_sets, _starts, fit
 from .gaussian import GaussianParams, _check_integer, _check_real, _fields, _mle_fits, _record
 from .gaussian import _stack, _stacked_kl, mle_fit
-# Not called here: perfbench's tracer patches root finding and the KL
-# divergence at these names.
+# Not called here: perfbench's tracer patches model depth, root finding
+# and the KL divergence at these names.
+from .depth import population_depth_gaussian  # noqa: F401
 from .estimator import find_roots  # noqa: F401
 from .gaussian import kl_gaussian  # noqa: F401
 from .initializers import InitSpec
-from .residuals import dpr
 
 __all__ = [
     "ContaminationSpec",
@@ -53,7 +48,6 @@ __all__ = [
     "efficiency",
     "BreakdownReport",
     "breakdown_experiment",
-    "residual_rate_experiment",
     "sample_size",
     "CSV_COLUMNS",
 ]
@@ -413,33 +407,3 @@ def breakdown_experiment(
         clean_params=clean.params,
         contaminated_params=contaminated.params,
     )
-
-
-def residual_rate_experiment(
-    sizes,
-    p: int,
-    alpha: float,
-    reps: int,
-    method_for_size,
-    seed: int,
-) -> dict:
-    """Median over replications of max_i |tau(X_i; truth)| per sample size.
-
-    The scaled residuals at the true parameters shrink as the sample
-    grows (the depth estimate converges uniformly); this experiment
-    measures the decay empirically.  ``method_for_size`` maps a sample
-    size to the DepthMethod to use.
-    """
-    truth = GaussianParams.standard(p)
-    spec = ContaminationSpec(0.0)
-    out = {}
-    for n in sizes:
-        maxima = []
-        for r in range(reps):
-            data, _ = generate_dataset(n, p, spec, [seed, n, r])
-            d_emp = empirical_depths_all(data, method_for_size(n))
-            d_model = population_depth_gaussian(data, truth)
-            tau = dpr(d_emp, d_model, alpha)
-            maxima.append(float(np.abs(tau).max()))
-        out[n] = float(np.median(maxima))
-    return out

@@ -1,4 +1,4 @@
-"""Gaussian family: Mahalanobis distance, MLE, KL divergence, density."""
+"""Gaussian family: Mahalanobis distance, MLE, KL divergence."""
 
 import json
 import math
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_triangular
+from scipy.stats import multivariate_normal
 
 from depthwl import (
     EstimatorConfig,
@@ -18,7 +19,6 @@ from depthwl import (
     find_roots,
     fit,
     kl_gaussian,
-    log_density,
     mahalanobis_sq,
     mle_fit,
     population_depth_gaussian,
@@ -89,7 +89,7 @@ class TestMahalanobis:
     # Each function of a point under a model, and each point it must
     # refuse by name: a float cannot hold the first, the second has no
     # distance, the third has no coordinate for the model's second axis.
-    POINT_FUNCTIONS = {"mahalanobis_sq": mahalanobis_sq, "log_density": log_density,
+    POINT_FUNCTIONS = {"mahalanobis_sq": mahalanobis_sq,
                        "population_depth_gaussian": population_depth_gaussian}
     BAD_POINTS = {
         "huge": ([[0.0, 1.0], [10**400, 0.0]], "^x holds an integer too large for a float"),
@@ -171,7 +171,8 @@ class TestKl:
             p0 = GaussianParams(rng.standard_normal(p), random_spd(rng, p))
             p1 = GaussianParams(rng.standard_normal(p), random_spd(rng, p))
             draws = p0.mu + rng.standard_normal((n, p)) @ p0.chol.T
-            diff = log_density(draws, p0) - log_density(draws, p1)
+            diff = (multivariate_normal.logpdf(draws, p0.mu, p0.sigma)
+                    - multivariate_normal.logpdf(draws, p1.mu, p1.sigma))
             mc, se = float(np.mean(diff)), float(np.std(diff) / math.sqrt(n))
             assert abs(kl_gaussian(p0, p1) - mc) <= 3 * se
 
@@ -243,22 +244,6 @@ class TestSolveLower:
             l0 = dyadic_lower(rng, p, scale)
             p0 = GaussianParams(p1.mu + offsets[0], l0 @ l0.T)
             assert kl_gaussian(p0, p1) == lapack_kl(p0, p1)
-
-
-class TestLogDensity:
-    def test_standard_normal_origin(self):
-        gp = GaussianParams([0.0], [[1.0]])
-        assert log_density([0.0], gp) == pytest.approx(-0.5 * math.log(2 * math.pi))
-
-    def test_bivariate_center(self):
-        gp = GaussianParams.standard(2)
-        assert log_density([0.0, 0.0], gp) == pytest.approx(-math.log(2 * math.pi))
-
-    def test_scaled_univariate(self):
-        gp = GaussianParams([0.0], [[4.0]])
-        want = -0.5 * math.log(2 * math.pi) - 0.5 * math.log(4.0) - 0.5
-        assert log_density([2.0], gp) == pytest.approx(want, abs=1e-6)
-        assert log_density([2.0], gp) == pytest.approx(-2.112086, abs=1e-6)
 
 
 class TestFactoredOnce:

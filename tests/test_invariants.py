@@ -14,7 +14,6 @@ from depthwl import (
     GaussianParams,
     GridConfig,
     InitSpec,
-    RootSet,
     WeightSpec,
     breakdown_experiment,
     efficiency,
@@ -100,22 +99,6 @@ class TestGridInitStrategies:
         assert a.cells[0].mle_mean_kl == b.cells[0].mle_mean_kl
 
 
-class TestRootSetSerialization:
-    def test_round_trip_through_dicts(self):
-        rng = np.random.default_rng(33)
-        data = rng.standard_normal((40, 2))
-        roots = find_roots(
-            data, EstimatorConfig(), subsample_inits(data, 8, seed=2)
-        )
-        back = RootSet.from_dict(roots.to_dict())
-        assert back.selected == roots.selected
-        assert back.diagnostics == roots.diagnostics
-        for r1, r2 in zip(back.roots, roots.roots):
-            assert np.array_equal(r1.params.mu, r2.params.mu)
-            assert np.array_equal(r1.weights, r2.weights)
-            assert r1.converged == r2.converged
-
-
 def _records():
     """One of each record whose JSON object is its init fields."""
     rng = np.random.default_rng(35)
@@ -143,7 +126,7 @@ class TestRecordSerialization:
         init_fields = [f.name for f in dataclasses.fields(record) if f.init]
         assert list(record.to_dict()) == init_fields
 
-    @pytest.mark.parametrize("name", [n for n in RECORDS if n != "BreakdownReport"])
+    @pytest.mark.parametrize("name", [n for n in RECORDS if hasattr(RECORDS[n], "from_dict")])
     def test_round_trip_through_json(self, name):
         record = RECORDS[name]
         blob = json.dumps(record.to_dict())

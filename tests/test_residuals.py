@@ -9,10 +9,10 @@ import pytest
 from depthwl import (
     WeightSpec,
     apply_trim,
-    check_weight_class,
     dpr,
     weight,
 )
+from instruments import check_weight_class
 
 SPECS = [
     WeightSpec.piecewise(2.0, 9.0, 0.3),
