@@ -332,8 +332,7 @@ def _work_arrays(r: int, m: int, n: int) -> np.ndarray:
 
 
 def _min_tail_counts(
-    rows: np.ndarray, n: int, work: np.ndarray | None = None,
-    tiled: np.ndarray | None = None, best: np.ndarray | None = None,
+    rows: np.ndarray, n: int, work: np.ndarray, tiled: np.ndarray | None, best: np.ndarray
 ) -> np.ndarray:
     """Each column's least closed-tail count over the rows of ``rows``
     (``_closed_tail_counts`` in argsort order, minimized over the rows),
@@ -359,14 +358,14 @@ def _min_tail_counts(
 
     ``work``, overwritten, is C-contiguous int64 of shape (2, R, m), or
     (3, R, m) when m > n, with R >= r (``_work_arrays``), and ``tiled``,
-    read when m == n, is ``_self_counts(n, R)``.  The counts are
-    minimized into ``best``, an int64 (m,) array, and it is returned; it
-    starts at n when not given.  A caller ranking many blocks passes all
-    three, so that no block allocates an array of its size.
+    read only when m == n, is ``_self_counts(n, R)``.  The counts are
+    minimized into ``best``, an int64 (m,) array, and it is returned.
+    A caller ranking many blocks reuses all three, so that no block
+    allocates an array of its size.
     """
     r, m = rows.shape
     b = (m - 1).bit_length()
-    work = _work_arrays(r, m, n) if work is None else work[:, :r]
+    work = work[:, :r]
     keys, col = work[0], work[1]
     fkeys = keys.view(np.float64)
     np.add(rows, 0.0, out=fkeys)
@@ -387,9 +386,7 @@ def _min_tail_counts(
         is_data += n
         counts = np.minimum(upto, np.subtract(is_data, upto, out=is_data), out=upto)
     else:
-        counts = _self_counts(n, order.shape[0]) if tiled is None else tiled[:order.size]
-    if best is None:
-        best = np.full(m, n, dtype=np.int64)
+        counts = tiled[:order.size]
     # ufunc.at is fast only for one flat index array and values of its
     # shape (broadcast values crash numpy 2.4 on large inputs).
     np.minimum.at(best, order.ravel(), counts.ravel())
@@ -454,7 +451,9 @@ def _stacked_depths(data: np.ndarray, queries: np.ndarray, method: DepthMethod) 
 
     Each dataset reaching _HUGE in magnitude is scaled by _SHRINK, with
     its queries, on its own.  Exact p = 2 sweeps all datasets' queries
-    at once; p = 1 and projection rank one dataset at a time.
+    at once; projection ranks one dataset at a time.  Exact p = 1 is
+    projection onto one direction: every unit direction is +-1 (a draw
+    u normalized by sqrt(u * u) exactly), and both tails are counted.
     """
     D, n, p = data.shape
     method = resolve_depth_method(method, p)
@@ -464,15 +463,11 @@ def _stacked_depths(data: np.ndarray, queries: np.ndarray, method: DepthMethod) 
     if huge.any():
         scale = np.where(huge, _SHRINK, 1.0)[:, None, None]
         data, queries = data * scale, queries * scale
-    if method.kind == "projection":
-        k, seed = method.resolved_directions(p), method.direction_seed
-        depths = [_projection_depths(x, qs, k, seed) for x, qs in zip(data, queries)]
-    elif p == 1:
-        depths = [_min_tail_counts(np.concatenate([x, qs]).T, n)[n:] / n
-                  for x, qs in zip(data, queries)]
-    else:
+    if method.kind == "exact" and p == 2:
         return _exact_counts_2d(data, queries) / n
-    return np.array(depths)
+    k = 1 if method.kind == "exact" else method.resolved_directions(p)
+    seed = method.direction_seed
+    return np.array([_projection_depths(x, qs, k, seed) for x, qs in zip(data, queries)])
 
 
 def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:

@@ -310,7 +310,9 @@ def tail_rows(draw):
 @example((np.array([[1.0, -np.nan, 2.0]]), 2))
 def test_packed_key_counts_match_tie_rule(block):
     rows, n = block
-    got = depth._min_tail_counts(rows, n)
+    r, m = rows.shape
+    best = np.full(m, n, dtype=np.int64)
+    got = depth._min_tail_counts(rows, n, depth._work_arrays(r, m, n), depth._self_counts(n, r), best)
     want = depth._closed_tail_counts(rows, n, rows.argsort(axis=1)).min(axis=0)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
