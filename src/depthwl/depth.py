@@ -77,10 +77,12 @@ _MAXLOG = 7.09782712893383996843e2
 
 
 def _rng(seed, *extra) -> np.random.Generator:
-    """Generator keyed by ``seed`` (an int or a sequence of ints) followed
-    by ``extra``; every key is masked to 64 bits."""
-    keys = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
-    keys += extra
+    """Generator keyed by ``seed`` (an int or a list, tuple or array of
+    ints) followed by ``extra``; every key is masked to 64 bits.  A key
+    that is not an integer raises ValueError naming ``seed``."""
+    keys = [*seed, *extra] if isinstance(seed, (list, tuple, np.ndarray)) else [seed, *extra]
+    for k in keys:
+        _check_integer("seed", k)
     return np.random.default_rng(
         np.random.SeedSequence([int(k) & ((1 << 64) - 1) for k in keys])
     )

@@ -25,6 +25,7 @@ from depthwl import (
     mse,
     run_grid,
     sample_size,
+    subsample_inits,
 )
 from depthwl import depth
 
@@ -66,6 +67,41 @@ class TestGenerate:
             ContaminationSpec(1.0)
         with pytest.raises(ValueError):
             ContaminationSpec(0.1, sigma_c=0.0)
+
+
+def _seeded_output(entry, seed) -> bytes:
+    """The bytes of what each seeded entry point returns for ``seed``."""
+    data = np.random.default_rng(0).standard_normal((30, 2))
+    if entry == "subsample_inits":
+        return np.array([g.sigma for g in subsample_inits(data, 5, seed)]).tobytes()
+    if entry == "generate_dataset":
+        rows, mask = generate_dataset(20, 2, ContaminationSpec(0.2, 5.0), seed)
+        return rows.tobytes() + mask.tobytes()
+    rep = breakdown_experiment(30, 2, 3, 1e3, EstimatorConfig(), seed=seed)
+    return json.dumps(rep.to_dict()).encode()
+
+
+class TestSeedKeys:
+    """``depth._rng``, the one seed rule, behind each seeded entry point."""
+
+    ENTRIES = ("subsample_inits", "generate_dataset", "breakdown_experiment")
+
+    @pytest.mark.parametrize("seed", [2.5, "ab", [1.5], (3, True)],
+                             ids=["float", "str", "float key", "bool key"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_non_integer_key_named(self, entry, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            _seeded_output(entry, seed)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_keys_masked_to_64_bits(self, entry):
+        # a negative or wider-than-64-bit key is its low 64 bits
+        assert _seeded_output(entry, -1) == _seeded_output(entry, 2**64 - 1)
+        assert _seeded_output(entry, 2**70 + 5) == _seeded_output(entry, 5)
+        assert (_seeded_output(entry, [3, -2]) == _seeded_output(entry, (3, 2**64 - 2))
+                == _seeded_output(entry, np.array([3, -2])))
+        assert _seeded_output(entry, np.int64(7)) == _seeded_output(entry, 7)
+        assert _seeded_output(entry, 5) != _seeded_output(entry, 6)
 
 
 class TestMse:
