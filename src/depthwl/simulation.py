@@ -378,9 +378,17 @@ def breakdown_experiment(
 
     The outliers sit at (distance, ..., distance) with a tiny
     N(0, 1e-6 I) perturbation keeping the augmented sample in general
-    position.  Raises ValueError unless n > 2p and the clean fit
-    converges.
+    position.  Raises ValueError naming the input unless ``n``, ``p``
+    >= 1 and ``m`` >= 0 are integers and ``distance`` is a finite real
+    number, checked before any draw; unless n > 2p; and unless the clean
+    fit converges.
     """
+    _check_integer("n", n)
+    _check_integer("p", p, 1)
+    _check_integer("m", m, 0)
+    _check_real("distance", distance)
+    if not math.isfinite(distance):
+        raise ValueError(f"distance must be finite, got {distance!r}")
     if n <= 2 * p:
         raise ValueError(f"breakdown experiment requires n > 2*p (got n={n}, p={p}); "
                          f"the clean sample must exceed twice the dimension")

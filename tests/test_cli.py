@@ -440,6 +440,16 @@ class TestBreakdownCommand:
         assert blob["outlier_weight_sum"] == 0.0
         assert blob["displacement"] < 0.5
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--m", "-1", "m must be an integer >= 0, got -1"),
+        ("--p", "0", "p must be an integer >= 1, got 0"),
+        ("--distance", "nan", "distance must be finite, got nan"),
+    ], ids=["m", "p", "distance"])
+    def test_bad_input_named(self, capsys, flag, value, message):
+        args = {"--p": "2", "--n": "20", "--m": "2", "--distance": "1e3", flag: value}
+        assert main(["breakdown", *(x for kv in args.items() for x in kv)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_small_n_rejected(self, capsys):
         assert main(["breakdown", "--p", "5", "--n", "10", "--m", "1",
                      "--distance", "1e3", "--seed", "1"]) == 1

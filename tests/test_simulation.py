@@ -27,7 +27,7 @@ from depthwl import (
     sample_size,
     subsample_inits,
 )
-from depthwl import depth
+from depthwl import depth, simulation
 
 UNIT_WEIGHT_ESTIMATOR = EstimatorConfig(
     weights=WeightSpec.smooth_exp(0.0, trim_xi=float("inf"))
@@ -470,6 +470,23 @@ class TestBreakdown:
     def test_requires_n_above_2p(self):
         with pytest.raises(ValueError):
             breakdown_experiment(10, 5, 1, 1e3, EstimatorConfig(), seed=4)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"m": -1}, "^m must be an integer >= 0, got -1$"),
+        ({"p": 0}, "^p must be an integer >= 1, got 0$"),
+        ({"n": 30.0}, "^n must be an integer, got 30.0$"),
+        ({"distance": float("nan")}, "^distance must be finite, got nan$"),
+        ({"distance": "1e3"}, "^distance must be a real number"),
+        ({"distance": 10**400}, "^distance is an integer too large for a float$"),
+    ], ids=["m", "p", "n", "nan distance", "str distance", "huge distance"])
+    def test_bad_input_named_before_any_draw(self, monkeypatch, changes, message):
+        def no_draws(*args):
+            raise AssertionError("drew before checking the inputs")
+
+        monkeypatch.setattr(simulation, "_rng", no_draws)
+        args = {"n": 30, "p": 2, "m": 5, "distance": 1e3, **changes}
+        with pytest.raises(ValueError, match=message):
+            breakdown_experiment(**args, cfg=EstimatorConfig(), seed=0)
 
     def test_report_serializes(self):
         rep = breakdown_experiment(30, 2, 5, 1e4, EstimatorConfig(), seed=5)
