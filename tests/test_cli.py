@@ -485,13 +485,31 @@ class TestDeterminism:
 
 
 class TestImports:
-    def test_no_scipy_on_the_import_path(self):
-        # a fresh interpreter: the CLI's start-up cost includes every import
+    def test_no_scipy_on_the_import_path(self, tmp_path):
+        # a fresh interpreter: the CLI's start-up cost includes every
+        # import, and each command then runs with scipy blocked
         src = str(Path(cli.__file__).resolve().parents[1])
+        data = write_csv(tmp_path / "d.csv", np.random.default_rng(7).standard_normal((12, 2)))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"dims": [1, 2], "size_factors": [2], "epsilons": [0.0],
+                                    "mu_cs": [5.0], "sigma_cs": [1.0], "reps": 2, "seed": 0}))
+        runs = [
+            ["fit", "--input", data, "--subsamples", "5", "--output", str(tmp_path / "f.json")],
+            ["depth", "--input", data, "--output", str(tmp_path / "d.out")],
+            ["depth", "--input", data, "--depth-method", "projection", "--directions", "20",
+             "--output", str(tmp_path / "p.out")],
+            ["simulate", "--grid", str(grid), "--output-dir", str(tmp_path / "sim")],
+            ["breakdown", "--p", "1", "--n", "12", "--m", "2", "--distance", "50",
+             "--output", str(tmp_path / "b.json")],
+        ]
         code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import depthwl, depthwl.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import depthwl, depthwl.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.modules['scipy'] = None; "
+            "print([depthwl.cli.main(argv) for argv in json.loads(sys.argv[2])])"
         )
-        proc = subprocess.run([sys.executable, "-c", code, src],
+        proc = subprocess.run([sys.executable, "-c", code, src, json.dumps(runs)],
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        lines = proc.stdout.strip().splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == "[0, 0, 0, 0, 0]", proc.stderr
