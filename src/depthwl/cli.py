@@ -194,8 +194,22 @@ def cmd_breakdown(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that ``float`` parses, such as -1e3 or -inf, as a
+    value: argparse takes only -digits and -digits.digits for negative
+    numbers, and no depthwl option looks like a number.  Subparsers are
+    made with the parser's own class, so they read values alike."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="depthwl",
         description="Depth-weighted likelihood estimation of Gaussian "
         "location and scatter",

@@ -197,20 +197,18 @@ def irwls_step(
     min_eff = p + 1
     sum_w = w.sum(axis=1)
     low = sum_w < min_eff
-    failures = {
-        int(i): f"effective sample size {sum_w[i]:.3g} below minimum {min_eff:.3g}"
-        for i in np.flatnonzero(low)
-    }
-    keep = ~low
-    new_mu = np.full(mu.shape, np.nan)
-    new_sigma = np.full(chol.shape, np.nan)
-    denom = float(n) if cfg.scatter_norm == "literal-1-over-n" else sum_w[keep]
-    new_mu[keep], new_sigma[keep] = weighted_location_scatter(x[keep], w[keep], denom)
+    # A problem with too little weight steps on a stand-in unit weight at row 0
+    # (no 0/0, no overflow) and is masked, so that it fails as a singular one does.
+    w_fit = np.where(low[:, None], np.arange(n) == 0, w)
+    denom = float(n) if cfg.scatter_norm == "literal-1-over-n" else np.where(low, 1.0, sum_w)
+    new_mu, new_sigma = weighted_location_scatter(x, w_fit, denom)
+    new_mu[low], new_sigma[low] = np.nan, np.nan
     new_chol = _cholesky(new_sigma)
-    singular = keep & np.isnan(new_chol).any(axis=(1, 2))
-    failures.update(
-        (int(i), "updated scatter matrix is singular") for i in np.flatnonzero(singular)
-    )
+    failures = {
+        int(i): f"effective sample size {sum_w[i]:.3g} below minimum {min_eff:.3g}" if low[i]
+        else "updated scatter matrix is singular"
+        for i in np.flatnonzero(np.isnan(new_chol).any(axis=(1, 2)))
+    }
     return Step(new_mu, new_sigma, new_chol, w, tau, failures)
 
 
@@ -317,6 +315,7 @@ def _solve(data, emp_depths, ds, starts, cfg: EstimatorConfig) -> _Stack:
             done = _converged(mu[idx], sigma[idx], step.mu[ok], step.sigma[ok], cfg.tol)
             iterations[idx] += 1
             mu[idx], sigma[idx], chol[idx] = step.mu[ok], step.sigma[ok], step.chol[ok]
+            del step  # its (S, n) weights and residuals would outlive the next step
             converged[idx[done]] = True
             active = idx[~done]
         for i in active:

@@ -209,12 +209,11 @@ def _stacked_mahalanobis_sq(x: np.ndarray, mu: np.ndarray, chol: np.ndarray) -> 
     depend on what else is in the stack.  Overflow and NaN propagate
     silently.
     """
-    diff = x - mu[:, None, :]
     z = []
-    d2 = np.zeros(diff.shape[:2])
+    d2 = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(diff.shape[2]):
-            zj = diff[:, :, j]
+        for j in range(x.shape[2]):
+            zj = x[:, :, j] - mu[:, j, None]
             for k in range(j):
                 zj = zj - chol[:, j, k, None] * z[k]
             zj = zj / chol[:, j, j, None]

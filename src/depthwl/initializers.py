@@ -50,14 +50,16 @@ def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
     size = elemental_subsample_size(p)
     if n < size:
         raise ValueError(f"need at least {size} observations for p={p}")
-    rngs = [_rng(seed, b) for b in range(B)]
-    mu, sigma, chol = _mle_fits(
-        data[np.array([rng.choice(n, size=size, replace=False) for rng in rngs])]
-    )
+    def draw(rng):
+        return rng.choice(n, size=size, replace=False)
+
+    mu, sigma, chol = _mle_fits(data[np.array([draw(_rng(seed, b)) for b in range(B)])])
     # Draw b's next attempt follows b first draws and every redraw so far.
     budget, redraws = 100 * B, 0
     exhausted = "too many singular subsamples; data may be degenerate"
     for b in np.flatnonzero(np.isnan(chol).any(axis=(1, 2))):
+        rng = _rng(seed, b)
+        draw(rng)  # the first draw, fitted above
         while True:
             if b + redraws >= budget:
                 raise ValueError(exhausted)
@@ -66,7 +68,7 @@ def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
                 break
             except SingularCovarianceError:
                 redraws += 1
-                fit = _mle_fits(data[rngs[b].choice(n, size=size, replace=False)][None])
+                fit = _mle_fits(data[draw(rng)][None])
                 mu[b], sigma[b], chol[b] = (a[0] for a in fit)
     if B + redraws > budget:
         raise ValueError(exhausted)

@@ -103,6 +103,12 @@ class TestFitCommand:
     def test_alpha_zero_rejected(self, clean_csv):
         assert main(["fit", "--input", clean_csv, "--alpha", "0"]) == 1
 
+    @pytest.mark.parametrize("alpha", ["-0.1", "-1e-1"])
+    def test_negative_alpha_rejected_by_name(self, clean_csv, capsys, alpha):
+        # -1e-1 is read as a value, not as an option, as -0.1 is
+        assert main(["fit", "--input", clean_csv, "--alpha", alpha]) == 1
+        assert capsys.readouterr().err == "error: alpha must lie in (0, 1]\n"
+
     def test_clean_defaults_close_to_mle(self, clean_csv, tmp_path):
         out = tmp_path / "fit.json"
         code = main([
@@ -444,11 +450,21 @@ class TestBreakdownCommand:
         ("--m", "-1", "m must be an integer >= 0, got -1"),
         ("--p", "0", "p must be an integer >= 1, got 0"),
         ("--distance", "nan", "distance must be finite, got nan"),
-    ], ids=["m", "p", "distance"])
+        ("--distance", "-inf", "distance must be finite, got -inf"),
+    ], ids=["m", "p", "distance", "distance-negative-inf"])
     def test_bad_input_named(self, capsys, flag, value, message):
         args = {"--p": "2", "--n": "20", "--m": "2", "--distance": "1e3", flag: value}
         assert main(["breakdown", *(x for kv in args.items() for x in kv)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_negative_exponent_distance_is_a_value(self, tmp_path):
+        outs = []
+        for distance in (["--distance", "-1e3"], ["--distance=-1e3"]):
+            out = tmp_path / f"{len(outs)}.json"
+            assert main(["breakdown", "--p", "1", "--n", "20", "--m", "2", *distance,
+                         "--seed", "0", "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_small_n_rejected(self, capsys):
         assert main(["breakdown", "--p", "5", "--n", "10", "--m", "1",

@@ -94,6 +94,47 @@ class TestIrwlsStep:
         assert np.array_equal(step.mu[1], alone.mu[0])
         assert np.array_equal(step.sigma[1], alone.sigma[0])
 
+    @pytest.mark.parametrize("scatter_norm", ["literal-1-over-n", "sum-of-weights"])
+    def test_all_weights_trimmed_masked_in_a_mixed_stack(self, scatter_norm):
+        # every weight of the far start trims to zero, so its update would
+        # divide 0 by 0; it is masked, and the others step as if alone
+        rng = np.random.default_rng(21)
+        data = rng.standard_normal((30, 2))
+        depths = empirical_depths_all(data, DepthMethod.exact())
+        cfg = EstimatorConfig(weights=WeightSpec.piecewise(2.0, 9.0, 0.0),
+                              scatter_norm=scatter_norm)
+        starts = [GaussianParams.standard(2), GaussianParams([1e3, 1e3], np.eye(2)),
+                  mle_fit(data), GaussianParams([0.5, -0.5], 4.0 * np.eye(2))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            step = step_from(data, starts, depths, cfg)
+            alone = [step_from(data, [g], depths, cfg) for g in starts]
+        assert step.failures == {1: "effective sample size 0 below minimum 3"}
+        assert alone[1].failures == {0: "effective sample size 0 below minimum 3"}
+        assert np.all(step.weights[1] == 0.0)
+        for i, one in enumerate(alone):
+            assert step.weights[i].tobytes() == one.weights[0].tobytes()
+            assert step.residuals[i].tobytes() == one.residuals[0].tobytes()
+            for got, want in zip(step[:3], one[:3]):
+                if i == 1:
+                    assert np.isnan(got[i]).all() and np.isnan(want[0]).all()
+                else:
+                    assert got[i].tobytes() == want[0].tobytes()
+
+    def test_masked_update_of_far_outlier_data_is_silent(self):
+        # the kept start trims the rows at 1e160, whose scatter would
+        # overflow were the masked start updated with unit weights
+        rng = np.random.default_rng(0)
+        data = np.vstack([rng.standard_normal((40, 2)), 1e160 + rng.standard_normal((10, 2))])
+        depths = empirical_depths_all(data, DepthMethod.exact())
+        cfg = EstimatorConfig(weights=WeightSpec.piecewise(2.0, 9.0, 0.0))
+        starts = [GaussianParams.standard(2), GaussianParams([1e3, 1e3], np.eye(2))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            step = step_from(data, starts, depths, cfg)
+        assert step.failures == {1: "effective sample size 0 below minimum 3"}
+        assert np.all(np.abs(step.mu[0]) < 1.0) and np.isfinite(step.chol[0]).all()
+
 
 class TestFit:
     def test_unit_weights_returns_mle(self):
