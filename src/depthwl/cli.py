@@ -19,8 +19,9 @@ import numpy as np
 
 from .depth import DepthMethod, empirical_depths
 from .estimator import EstimatorConfig, find_roots
-from .gaussian import GaussianParams
-from .initializers import depth_init, subsample_inits
+from .initializers import InitSpec
+# Not called here: perfbench's tracer patches the starts at these names.
+from .initializers import depth_init, subsample_inits  # noqa: F401
 from .residuals import _DEFAULT_ALPHA, WeightSpec
 from .simulation import GridConfig, breakdown_experiment, run_grid
 
@@ -72,6 +73,16 @@ def load_csv_dataset(path) -> np.ndarray:
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``; an error names ``what`` it is."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -139,21 +150,21 @@ def _estimator_config(args) -> EstimatorConfig:
 def cmd_fit(args) -> int:
     data = load_csv_dataset(args.input)
     cfg = _estimator_config(args)
+    if args.init == "file" and args.init_file is None:
+        raise ValueError("--init file requires --init-file PATH")
+    raw = None if args.init_file is None else _read_json(args.init_file, "init file")
+    # The start flags as an init object: InitSpec rejects one set for another
+    # strategy.  --seed also seeds the directions, so only subsample takes it.
+    strategy = {"subsample": "subsample", "depth": "depth_deterministic", "file": "custom"}
+    spec = InitSpec.from_dict({
+        "strategy": strategy[args.init], "B": args.subsamples,
+        "seed": args.seed if args.init == "subsample" else None,
+        "params_list": raw if isinstance(raw, list) or args.init_file is None else [raw]})
     # empirical_depths_all(data), computed once for the depth start and
     # the fit; spelled through empirical_depths, the depth entry point
     # perfbench traces in this module.
     emp_depths = empirical_depths(data, data, cfg.depth_method)
-    if args.init == "subsample":
-        inits = subsample_inits(data, args.subsamples, args.seed)
-    elif args.init == "depth":
-        inits = [depth_init(data, depths=emp_depths)]
-    else:
-        if args.init_file is None:
-            raise ValueError("--init file requires --init-file PATH")
-        raw = json.loads(Path(args.init_file).read_text())
-        raw = raw if isinstance(raw, list) else [raw]
-        inits = [GaussianParams.from_dict(d) for d in raw]
-    roots = find_roots(data, cfg, inits, emp_depths)
+    roots = find_roots(data, cfg, spec.make_inits(data, emp_depths), emp_depths)
     _write_output(_json_dumps(roots.to_dict()), args.output)
     return 0 if roots.selected is not None else 2
 
@@ -169,13 +180,7 @@ def cmd_depth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        raw = json.loads(Path(args.grid).read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read grid config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"grid config is not valid JSON: {exc}") from None
-    cfg = GridConfig.from_dict(raw)
+    cfg = GridConfig.from_dict(_read_json(args.grid, "grid config"))
     report = run_grid(cfg)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -221,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_flags(p_fit)
     p_fit.add_argument("--init", choices=["subsample", "depth", "file"],
                        default="subsample")
-    p_fit.add_argument("--subsamples", type=int, default=500,
-                       help="number of elemental starting subsamples")
+    p_fit.add_argument("--subsamples", type=int, default=None,
+                       help="elemental starting subsamples for --init subsample")
     p_fit.add_argument("--init-file", default=None,
                        help="JSON parameter set(s) for --init file")
     p_fit.add_argument("--output", default=None, help="write root-set JSON here")
@@ -268,3 +273,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,6 +1,7 @@
 """Command-line surface: ingestion, subcommands, exit codes, formats."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -176,6 +177,58 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and problem in err
 
+    @pytest.mark.parametrize("contents, message", [
+        (None, "error: cannot read init file: "),
+        ("{'mu': [0.0]}", "error: init file is not valid JSON: "),
+    ], ids=["missing", "malformed"])
+    def test_unreadable_init_file_named(self, clean_csv, tmp_path, capsys, contents, message):
+        init = tmp_path / "init.json"
+        if contents is not None:
+            init.write_text(contents)
+        code = main(["fit", "--input", clean_csv, "--init", "file", "--init-file", str(init)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--init", "subsample", "--init-file", "START"], "params_list"),
+        (["--init", "depth", "--init-file", "START"], "params_list"),
+        (["--init", "depth", "--subsamples", "10"], "B"),
+        (["--init", "file", "--init-file", "START", "--subsamples", "10"], "B"),
+    ], ids=["file-with-subsample", "file-with-depth", "subsamples-with-depth",
+            "subsamples-with-file"])
+    def test_start_flag_of_another_strategy_rejected(self, clean_csv, tmp_path, capsys,
+                                                     flags, field):
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps(GaussianParams.standard(2).to_dict()))
+        flags = [str(start) if flag == "START" else flag for flag in flags]
+        assert main(["fit", "--input", clean_csv, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ['{field}'] do not apply to the ")
+
+    def test_init_file_strategy_requires_the_flag(self, clean_csv, capsys):
+        assert main(["fit", "--input", clean_csv, "--init", "file"]) == 1
+        assert capsys.readouterr().err == "error: --init file requires --init-file PATH\n"
+
+    def test_subsample_count_defaults_to_init_spec(self, clean_csv, tmp_path):
+        outs = []
+        for flags in ([], ["--subsamples", "500"]):
+            out = tmp_path / f"{len(outs)}.json"
+            assert main(["fit", "--input", clean_csv, "--init", "subsample", *flags,
+                         "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_seed_seeds_the_directions_of_a_depth_start(self, clean_csv, tmp_path):
+        # --seed is a depth flag as well, so a start of another strategy takes it.
+        out = tmp_path / "roots.json"
+        assert main(["fit", "--input", clean_csv, "--init", "depth", "--depth-method",
+                     "projection", "--directions", "50", "--seed", "3",
+                     "--output", str(out)]) == 0
+        data = load_csv_dataset(clean_csv)
+        cfg = EstimatorConfig(depth_method=DepthMethod.projection(50, seed=3))
+        want = find_roots(data, cfg, [depth_init(data, cfg.depth_method)])
+        assert out.read_text() == cli._json_dumps(want.to_dict())
+
     def test_init_depth(self, clean_csv, tmp_path):
         out = tmp_path / "d.json"
         code = main([
@@ -348,6 +401,19 @@ class TestSimulateCommand:
                      "--output-dir", str(tmp_path / "x")]) == 1
         assert "reps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("contents, message", [
+        (None, "error: cannot read grid config: "),
+        ('{"dims": [2],}', "error: grid config is not valid JSON: "),
+    ], ids=["missing", "malformed"])
+    def test_unreadable_grid_named(self, tmp_path, capsys, contents, message):
+        grid = tmp_path / "grid.json"
+        if contents is not None:
+            grid.write_text(contents)
+        outdir = tmp_path / "out"
+        assert main(["simulate", "--grid", str(grid), "--output-dir", str(outdir)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not outdir.exists()
+
     def test_inapplicable_weight_field_rejected(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         weights = {"family": "smooth_exp", "a": 0.1, "delta1": 2.0, "alpha": 0.5}
@@ -411,6 +477,7 @@ class TestSimulateCommand:
         ({"dims": [3], "init": {"strategy": "custom",
                                 "params_list": [GaussianParams.standard(2).to_dict()]}}, "init"),
         ({"size_factors": [1], "init": {"strategy": "subsample"}}, "init"),
+        ({"sigma_cs": []}, "sigma_cs must be nonempty"),
     ])
     def test_bad_value_exits_1_at_load(self, tmp_path, capsys, monkeypatch, overrides, field):
         ran = []
@@ -484,6 +551,23 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["fit"]) == 1
+
+    def test_module_runs_the_commands(self, capsys):
+        # python -m depthwl.cli is the console script: same bytes, same exit codes
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv, code in [
+            (["breakdown", "--p", "1", "--n", "20", "--m", "0", "--distance", "1", "--seed", "0"], 0),
+            (["breakdown", "--p", "1", "--n", "20", "--m", "-1", "--distance", "1"], 1),
+        ]:
+            assert main(argv) == code
+            want = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "depthwl.cli", *argv],
+                                  capture_output=True, env=env)
+            assert proc.returncode == code
+            assert proc.stdout == want.out.encode()
+            assert proc.stderr == want.err.encode()
 
 
 class TestDeterminism:

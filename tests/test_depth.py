@@ -237,6 +237,13 @@ class TestExact2d:
         got = empirical_depths_all(data, DepthMethod.exact())
         assert np.array_equal(got * 3, [2.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("s, want", [(1e-10, 0.0), (-1e-10, 1 / 3)])
+    def test_near_tie_decided_by_exact_sign(self, s, want):
+        # (-1, s) lies within the tie tolerance of the half-plane edge
+        # through (1, 0); the exact cross product puts it on its side.
+        data = [[1.0, 0.0], [0.0, 1.0], [-1.0, s]]
+        assert empirical_depth([0.0, 0.0], data, DepthMethod.exact()) == want
+
     def test_affine_invariance_exact(self):
         rng = np.random.default_rng(3)
         method = DepthMethod.exact()
@@ -404,3 +411,8 @@ class TestValidation:
     def test_query_dimension_mismatch(self):
         with pytest.raises(ValueError):
             empirical_depths(np.zeros((2, 3)), np.zeros((4, 2)), DepthMethod.exact())
+
+    def test_one_query_of_two_entries_against_one_column(self):
+        # At p = 1 the entries would be read as two queries.
+        with pytest.raises(ValueError, match="query dimension does not match"):
+            empirical_depth([0.0, 0.0], np.zeros((3, 1)), DepthMethod.exact())

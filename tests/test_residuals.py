@@ -52,6 +52,10 @@ class TestDpr:
         with pytest.raises(ValueError):
             dpr(0.1, -0.1, 0.5)
 
+    def test_negative_empirical_depth_rejected(self):
+        with pytest.raises(ValueError, match="empirical depth must be nonnegative"):
+            dpr([0.1, -1e-3], [0.2, 0.2], 0.5)
+
     def test_lower_bound_minus_one(self):
         # d_emp >= 0 and d_model <= 1/2 with alpha <= 1 force tau >= -1
         rng = np.random.default_rng(0)
@@ -238,6 +242,11 @@ class TestTrim:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             apply_trim(np.zeros(3), np.zeros(4), 1.0)
+
+    @pytest.mark.parametrize("xi", [0.0, -1.0, float("nan")])
+    def test_nonpositive_margin_rejected(self, xi):
+        with pytest.raises(ValueError, match="xi must be positive"):
+            apply_trim(np.zeros(3), np.ones(3), xi)
 
 
 class TestWeightClass:

@@ -57,6 +57,11 @@ class TestGenerate:
         b, mb = generate_dataset(25, 2, spec, seed=9)
         assert np.array_equal(a, b) and np.array_equal(ma, mb)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_sample_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            generate_dataset(n, 2, ContaminationSpec(0.0), seed=1)
+
     def test_clean_mean_clt_bound(self):
         data, _ = generate_dataset(100_000, 2, ContaminationSpec(0.0), seed=4)
         bound = 4.0 / math.sqrt(100_000)
