@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from .depth import DepthMethod, empirical_depths
 from .estimator import EstimatorConfig, find_roots
+from .gaussian import GaussianParams
 from .initializers import InitSpec
 # Not called here: perfbench's tracer patches the starts at these names.
 from .initializers import depth_init, subsample_inits  # noqa: F401
@@ -95,6 +97,20 @@ def _write_output(text: str, path: str | None) -> None:
 _SMOOTH_A = 0.05  # decay rate of the smooth family when --a is not given
 
 
+def _from_flags(build, *args):
+    """``build(*args)``, a spec that fit or breakdown makes from flags; the
+    message of a ValueError it raises names the flags instead of the
+    config names.  Errors about a file's contents keep the names."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        flags = {"B": "--subsamples", "params_list": "--init-file", "trim_xi": "--xi",
+                 "subsample": "--init subsample", "depth_deterministic": "--init depth",
+                 "custom": "--init file", "smooth_exp": "--family smooth"}
+        name = r"(?:\['|'|\bthe )?\b(" + "|".join(flags) + r")\b(?:'\]?| strategy| family)?"
+        raise ValueError(re.sub(name, lambda m: flags[m[1]], str(exc))) from None
+
+
 def _add_depth_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--depth-method", choices=["auto", "exact", "projection"],
                         default="auto")
@@ -149,17 +165,18 @@ def _estimator_config(args) -> EstimatorConfig:
 
 def cmd_fit(args) -> int:
     data = load_csv_dataset(args.input)
-    cfg = _estimator_config(args)
+    cfg = _from_flags(_estimator_config, args)
     if args.init == "file" and args.init_file is None:
         raise ValueError("--init file requires --init-file PATH")
-    raw = None if args.init_file is None else _read_json(args.init_file, "init file")
-    # The start flags as an init object: InitSpec rejects one set for another
-    # strategy.  --seed also seeds the directions, so only subsample takes it.
+    starts = None
+    if args.init_file is not None:
+        raw = _read_json(args.init_file, "init file")
+        starts = tuple(map(GaussianParams.from_dict, raw if isinstance(raw, list) else [raw]))
+    # The start flags as an InitSpec: it rejects one set for another strategy.
+    # --seed also seeds the directions, so only subsample takes it.
     strategy = {"subsample": "subsample", "depth": "depth_deterministic", "file": "custom"}
-    spec = InitSpec.from_dict({
-        "strategy": strategy[args.init], "B": args.subsamples,
-        "seed": args.seed if args.init == "subsample" else None,
-        "params_list": raw if isinstance(raw, list) or args.init_file is None else [raw]})
+    spec = _from_flags(InitSpec, strategy[args.init], args.subsamples,
+                       args.seed if args.init == "subsample" else None, starts)
     # empirical_depths_all(data), computed once for the depth start and
     # the fit; spelled through empirical_depths, the depth entry point
     # perfbench traces in this module.
@@ -191,7 +208,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    cfg = _estimator_config(args)
+    cfg = _from_flags(_estimator_config, args)
     report = breakdown_experiment(
         args.n, args.p, args.m, args.distance, cfg, args.seed
     )

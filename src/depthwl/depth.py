@@ -305,9 +305,10 @@ def _exact_counts_2d(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def _closed_tail_counts(proj: np.ndarray, n: int, order: np.ndarray) -> np.ndarray:
     """min(#{d <= v}, #{d >= v}) over the first ``n`` entries d of each
     row of ``proj``, for every entry v of the row, given ``order``, which
-    sorts each row ascending with tied entries in any order.  The data
-    counted up to each sorted position are carried to both ends of its
-    tie group by maximum/minimum accumulation."""
+    sorts each row ascending with tied entries in any order.  The counts
+    come in sorted order, entry k of a row counting column ``order[k]``:
+    the data counted up to each sorted position are carried to both ends
+    of its tie group by maximum/minimum accumulation."""
     srt = np.take_along_axis(proj, order, axis=1)
     upto = np.cumsum(order < n, axis=1) if proj.shape[1] > n else np.arange(1, n + 1)
     tied = srt[:, 1:] == srt[:, :-1]
@@ -316,8 +317,7 @@ def _closed_tail_counts(proj: np.ndarray, n: int, order: np.ndarray) -> np.ndarr
     through = np.full(proj.shape, n, dtype=np.int64)
     np.minimum.accumulate(np.where(tied, n, upto[..., :-1])[:, ::-1], axis=1,
                           out=through[:, -2::-1])
-    np.put_along_axis(below, order, np.minimum(through, n - below), axis=1)
-    return below
+    return np.minimum(through, n - below, out=below)
 
 
 def _self_counts(n: int, r: int) -> np.ndarray:
@@ -340,23 +340,24 @@ def _min_tail_counts(
     (``_closed_tail_counts`` in argsort order, minimized over the rows),
     from one sort of packed keys.
 
+    Every entry of ``rows`` must be finite, as ``_stacked_depths``, the
+    one caller, guarantees: it takes validated samples and queries and
+    scales a dataset reaching _HUGE by _SHRINK, so no projection exceeds
+    sqrt(p) * _HUGE in magnitude.
+
     An entry's key is the double whose bits are its value's (-0.0 made
     +0.0 first) with the low b = (m - 1).bit_length() bits replaced by
     its column index, m the row width; the keys are sorted as doubles.
     The keys of one sign and truncated magnitude fill a range of doubles
     holding no other key, so in a row whose truncated values all differ
-    and are finite the values are distinct and the sort gives their
-    order: the entry at sorted position k with ``upto`` data entries at
-    or before it counts min(upto, n - upto + is_data).  Distinct finite
-    keys compare equal only as -0.0 and +0.0, and both would need column
-    0.  Rows with equal truncated values (exact ties, duplicate columns,
-    near ties) go through ``_closed_tail_counts``, the one tie rule, in
-    the key order, argsorted first where it is not ascending (a clash
-    joined distinct values).  So do rows holding a non-finite value:
-    +-inf in column 0 keeps its value as key and any other makes a NaN
-    key, which sorts last, so the first or last key is not finite.
-    Those rows are always argsorted, because the sort may store every
-    NaN key as one canonical NaN, losing its column index.
+    the values are distinct and the sort gives their order: the entry at
+    sorted position k with ``upto`` data entries at or before it counts
+    min(upto, n - upto + is_data).  Distinct keys compare equal only as
+    -0.0 and +0.0, and both would need column 0.  Rows with equal
+    truncated values (exact ties, duplicate columns, near ties) go
+    through ``_closed_tail_counts``, the one tie rule, in the key order,
+    argsorted first where it is not ascending (a clash joined distinct
+    values).
 
     ``work``, overwritten, is C-contiguous int64 of shape (2, R, m), or
     (3, R, m) when m > n, with R >= r (``_work_arrays``), and ``tiled``,
@@ -374,11 +375,9 @@ def _min_tail_counts(
     keys &= np.int64(-1 << b)
     keys |= np.arange(m)
     fkeys.sort(axis=1)
-    finite = np.isfinite(fkeys[:, 0]) & np.isfinite(fkeys[:, -1])
     np.bitwise_and(keys, (1 << b) - 1, out=col)
     top = np.right_shift(keys, b, out=keys)
     clean = (top[:, 1:] != top[:, :-1]).all(axis=1)
-    clean &= finite
     tied = not clean.all()
     order = col[clean] if tied else col
     if m > n:
@@ -395,9 +394,9 @@ def _min_tail_counts(
     if tied:
         rest, order = rows[~clean], col[~clean]
         srt = np.take_along_axis(rest, order, axis=1)
-        resort = ~(srt[:, 1:] >= srt[:, :-1]).all(axis=1) | ~finite[~clean]
+        resort = ~(srt[:, 1:] >= srt[:, :-1]).all(axis=1)
         order[resort] = rest[resort].argsort(axis=1)
-        np.minimum(best, _closed_tail_counts(rest, n, order).min(axis=0), out=best)
+        np.minimum.at(best, order.ravel(), _closed_tail_counts(rest, n, order).ravel())
     return best
 
 

@@ -165,6 +165,8 @@ class TestFitCommand:
         ({"mu": {"a": 1}, "sigma": [[1.0, 0.0], [0.0, 1.0]]},
          "mu must be a rectangular array of real numbers"),
         ([5], "expected a JSON object, got 5"),
+        # the file's own keys, not the flags
+        ({"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]], "B": 3}, "unknown fields: ['B']"),
     ])
     def test_malformed_init_file_exit_1(self, clean_csv, tmp_path, capsys, blob, problem):
         init = tmp_path / "init.json"
@@ -189,21 +191,38 @@ class TestFitCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith(message)
 
-    @pytest.mark.parametrize("flags, field", [
-        (["--init", "subsample", "--init-file", "START"], "params_list"),
-        (["--init", "depth", "--init-file", "START"], "params_list"),
-        (["--init", "depth", "--subsamples", "10"], "B"),
-        (["--init", "file", "--init-file", "START", "--subsamples", "10"], "B"),
+    @pytest.mark.parametrize("flags, message", [
+        (["--init", "subsample", "--init-file", "START"],
+         "--init-file do not apply to --init subsample"),
+        (["--init", "depth", "--init-file", "START"], "--init-file do not apply to --init depth"),
+        (["--init", "depth", "--subsamples", "10"], "--subsamples do not apply to --init depth"),
+        (["--init", "file", "--init-file", "START", "--subsamples", "10"],
+         "--subsamples do not apply to --init file"),
+        (["--init", "depth", "--init-file", "START", "--subsamples", "10"],
+         "--subsamples, --init-file do not apply to --init depth"),
     ], ids=["file-with-subsample", "file-with-depth", "subsamples-with-depth",
-            "subsamples-with-file"])
+            "subsamples-with-file", "both-with-depth"])
     def test_start_flag_of_another_strategy_rejected(self, clean_csv, tmp_path, capsys,
-                                                     flags, field):
+                                                     flags, message):
         start = tmp_path / "start.json"
         start.write_text(json.dumps(GaussianParams.standard(2).to_dict()))
         flags = [str(start) if flag == "START" else flag for flag in flags]
         assert main(["fit", "--input", clean_csv, *flags]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: ['{field}'] do not apply to the ")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--subsamples", "0"], "--subsamples must be an integer >= 1, got 0"),
+        (["--xi", "0"], "--xi must be positive"),
+        (["--init", "file", "--init-file", "EMPTY"],
+         "--init file requires at least one parameter set"),
+        (["--family", "smooth", "--a", "-1"], "--family smooth requires a >= 0"),
+    ], ids=["subsamples", "xi", "empty-init-file", "smooth-a"])
+    def test_bad_flag_value_named(self, clean_csv, tmp_path, capsys, flags, message):
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        flags = [str(empty) if flag == "EMPTY" else flag for flag in flags]
+        assert main(["fit", "--input", clean_csv, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_init_file_strategy_requires_the_flag(self, clean_csv, capsys):
         assert main(["fit", "--input", clean_csv, "--init", "file"]) == 1
@@ -316,7 +335,7 @@ class TestFitWeightFlags:
         assert cfg.weights == WeightSpec.smooth_exp(0.2, trim_xi=3.0)
 
     @pytest.mark.parametrize("flags, message", [
-        (["--family", "smooth", "--delta1", "3"], "do not apply to smooth_exp"),
+        (["--family", "smooth", "--delta1", "3"], "do not apply to --family smooth"),
         (["--a", "7"], "'a' does not apply to the piecewise family"),
     ])
     def test_inapplicable_flag_rejected(self, clean_csv, capsys, flags, message):
@@ -518,7 +537,8 @@ class TestBreakdownCommand:
         ("--p", "0", "p must be an integer >= 1, got 0"),
         ("--distance", "nan", "distance must be finite, got nan"),
         ("--distance", "-inf", "distance must be finite, got -inf"),
-    ], ids=["m", "p", "distance", "distance-negative-inf"])
+        ("--xi", "0", "--xi must be positive"),
+    ], ids=["m", "p", "distance", "distance-negative-inf", "xi"])
     def test_bad_input_named(self, capsys, flag, value, message):
         args = {"--p": "2", "--n": "20", "--m": "2", "--distance": "1e3", flag: value}
         assert main(["breakdown", *(x for kv in args.items() for x in kv)]) == 1

@@ -339,12 +339,14 @@ class TestPowerOfTwoScale:
     """Depth is invariant under x -> x * 2**k, which is exact for these
     data: entries are 0 or at least 0.01 in magnitude and below 4, so
     x * 2**1022 stays finite while its projections and 2-D offsets
-    reach past DBL_MAX."""
+    reach past DBL_MAX.  Projection depth is checked at p = 3 as well,
+    where the projection kernel ranks rows that must be finite."""
 
     @pytest.mark.parametrize("k", [-1000, -999, -600, -1, 1, 600, 999, 1000, 1021, 1022])
-    @pytest.mark.parametrize("method", [DepthMethod.exact(), DepthMethod.projection(200, seed=1)],
-                             ids=["exact", "projection"])
-    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize(("p", "method"), [
+        pytest.param(p, m, id=f"{p}-{m.kind}")
+        for p in (1, 2, 3) for m in (DepthMethod.exact(), DepthMethod.projection(200, seed=1))
+        if p < 3 or m.kind == "projection"])  # exact depth is for p <= 2 only
     @pytest.mark.parametrize("integer", [False, True], ids=["spread", "integer"])
     @pytest.mark.parametrize("self_depths", [True, False], ids=["self", "queries"])
     def test_depth_at_scaled_data_is_bit_identical(self, k, method, p, integer, self_depths):

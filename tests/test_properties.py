@@ -267,12 +267,11 @@ TAIL_WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
 
 # Values whose packed keys clash: exact ties, +-0.0, neighbouring
 # doubles (distinct values with equal truncated keys), the ends of the
-# finite range and the infinities; and NaN of either sign, which the
-# tie rule sorts last.
+# finite range.  The kernel takes finite rows only (_stacked_depths
+# keeps projections finite).
 TIE_VALUES = st.one_of(
     st.integers(-2, 2).map(float),
-    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1.7e308, -1.7e308, 5e-324, -5e-324,
-                     np.nan, -np.nan]),
+    st.sampled_from([0.0, -0.0, 1.7e308, -1.7e308, 5e-324, -5e-324]),
     st.integers(-4, 4).map(lambda k: 1.0 + k * 2.0**-52),
     st.integers(-4, 4).map(lambda k: -3.0 + k * 2.0**-51),
 )
@@ -299,21 +298,28 @@ def tail_rows(draw):
     return np.array(rows), n
 
 
+def column_tail_counts(rows, n, order):
+    """Each column's least ``_closed_tail_counts`` over the rows, its
+    sorted-order counts put back in column order first: a fold of its
+    own, independent of the kernel's."""
+    counts = np.empty_like(order)
+    np.put_along_axis(counts, order, depth._closed_tail_counts(rows, n, order), axis=1)
+    return counts.min(axis=0)
+
+
 @PROPERTY
 @given(tail_rows())
 @example((np.array([[0.0, -0.0, 1.0]]), 3))
 @example((np.array([[-0.0, 2.0, 0.0, -1.0]]), 2))
 @example((np.array([[1.0, np.nextafter(1.0, 2.0), 0.5]]), 3))
 @example((np.array([[np.nextafter(1.0, 2.0), 1.0, 0.5]]), 3))
-@example((np.array([[np.inf, 1.0, np.inf, -np.inf]]), 4))
 @example((np.array([[3.0]]), 1))
-@example((np.array([[1.0, -np.nan, 2.0]]), 2))
 def test_packed_key_counts_match_tie_rule(block):
     rows, n = block
     r, m = rows.shape
     best = np.full(m, n, dtype=np.int64)
     got = depth._min_tail_counts(rows, n, depth._work_arrays(r, m, n), depth._self_counts(n, r), best)
-    want = depth._closed_tail_counts(rows, n, rows.argsort(axis=1)).min(axis=0)
+    want = column_tail_counts(rows, n, rows.argsort(axis=1))
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -322,10 +328,7 @@ def test_packed_key_counts_match_tie_rule(block):
 @given(tail_rows())
 @example((np.array([[-5e-324, 0.0, 1.0]]), 3))  # key -0.0 beside a key holding +0.0
 @example((np.array([[-5e-324, 2.0, 0.0, -1.0]]), 2))
-@example((np.array([[-np.inf, 1.0, 2.0], [0.5, 1.5, 2.5]]), 3))
-@example((np.array([[1.0, np.inf, -np.inf, np.nan]]), 4))
-@example((np.array([[2.0, -np.inf, np.nan, np.inf, 1.0]]), 3))
-@example((np.array([[0.5, 1.5, 2.5], [1.0, -np.nan, np.inf]]), 2))
+@example((np.array([[1.0, 2.0, 1.0], [0.5, 1.5, 2.5]]), 3))  # a tied row beside a clean one
 def test_packed_key_counts_in_reused_work_arrays(block):
     # As _projection_depths calls the kernel: each block's rows in a
     # buffer of their own, work arrays with more rows than the block,
@@ -343,7 +346,7 @@ def test_packed_key_counts_in_reused_work_arrays(block):
         assert depth._min_tail_counts(proj[:r], n, work, tiled, best) is best
         assert proj[:r].tobytes() == block_rows.tobytes()
         order = block_rows.argsort(axis=1)
-        np.minimum(want, depth._closed_tail_counts(block_rows, n, order).min(axis=0), out=want)
+        np.minimum(want, column_tail_counts(block_rows, n, order), out=want)
         assert np.array_equal(best, want)
 
 
