@@ -98,16 +98,20 @@ _SMOOTH_A = 0.05  # decay rate of the smooth family when --a is not given
 
 
 def _from_flags(build, *args):
-    """``build(*args)``, a spec that fit or breakdown makes from flags; the
+    """``build(*args)``, a spec that a command makes from flags; the
     message of a ValueError it raises names the flags instead of the
-    config names.  Errors about a file's contents keep the names."""
+    config names.  Errors about a file's contents keep the names.  The
+    field ``a`` is named only when quoted, as the bare word is English."""
     try:
         return build(*args)
     except ValueError as exc:
         flags = {"B": "--subsamples", "params_list": "--init-file", "trim_xi": "--xi",
+                 "n_directions": "--directions", "'a'": "--a",
                  "subsample": "--init subsample", "depth_deterministic": "--init depth",
-                 "custom": "--init file", "smooth_exp": "--family smooth"}
-        name = r"(?:\['|'|\bthe )?\b(" + "|".join(flags) + r")\b(?:'\]?| strategy| family)?"
+                 "custom": "--init file", "smooth_exp": "--family smooth",
+                 "piecewise": "--family piecewise"}
+        name = (r"(?:\['|'|\bthe )?(?<!\w)(" + "|".join(flags)
+                + r")(?!\w)(?:'\]?| strategy| family)?")
         raise ValueError(re.sub(name, lambda m: flags[m[1]], str(exc))) from None
 
 
@@ -189,7 +193,7 @@ def cmd_fit(args) -> int:
 def cmd_depth(args) -> int:
     data = load_csv_dataset(args.input)
     queries = data if args.query is None else load_csv_dataset(args.query)
-    depths = empirical_depths(queries, data, _depth_method(args))
+    depths = empirical_depths(queries, data, _from_flags(_depth_method, args))
     lines = ["row_index,depth"]
     lines += [f"{i},{d:.4f}" for i, d in enumerate(depths)]
     _write_output("\n".join(lines) + "\n", args.output)

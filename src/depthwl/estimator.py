@@ -25,7 +25,8 @@ C-steps over many subsamples: ``irwls_step`` updates a stack of
 problems (locations, Cholesky factors, the data and depths of each)
 in one pass, and problems leave the stack as they converge, fail or
 run out of iterations.  ``fit`` is a stack of one, ``find_roots`` a
-stack of its starts, and a simulation grid cell one stack over the
+stack of its starts that share one copy of the data, and a simulation
+grid cell one stack over the
 starts of all its replications, whose roots then take their weights and
 residuals from one more stacked pass.  Each problem's arithmetic does not
 depend on what else is in the stack, so a start gives the same result
@@ -185,12 +186,14 @@ def irwls_step(
 
     Problem i has data ``x[i]`` (n, p), empirical depths
     ``emp_depths[i]`` (n,), location ``mu[i]`` and the lower Cholesky
-    factor ``chol[i]`` of its scatter.  Each problem's update is
-    computed as in a stack of one, bit for bit.  An update fails when
-    the surviving weight sums to less than p + 1 or the new scatter is
-    not finite and positive definite: ``failures`` maps the problem's
-    index to the reason and its rows of the new parameters are
-    meaningless.
+    factor ``chol[i]`` of its scatter.  ``x`` and ``emp_depths`` may
+    instead be a stack of one, (1, n, p) and (1, n), that all S
+    problems share, which spares a copy per problem.  Each problem's
+    update is computed as in a stack of one, bit for bit.  An update
+    fails when the surviving weight sums to less than p + 1 or the new
+    scatter is not finite and positive definite: ``failures`` maps the
+    problem's index to the reason and its rows of the new parameters
+    are meaningless.
     """
     tau, w = _residuals_weights(x, mu, chol, emp_depths, cfg)
     n, p = x.shape[1:]
@@ -199,7 +202,7 @@ def irwls_step(
     low = sum_w < min_eff
     # A problem with too little weight steps on a stand-in unit weight at row 0
     # (no 0/0, no overflow) and is masked, so that it fails as a singular one does.
-    w_fit = np.where(low[:, None], np.arange(n) == 0, w)
+    w_fit = np.where(low[:, None], np.arange(n) == 0, w) if low.any() else w
     denom = float(n) if cfg.scatter_norm == "literal-1-over-n" else np.where(low, 1.0, sum_w)
     new_mu, new_sigma = weighted_location_scatter(x, w_fit, denom)
     new_mu[low], new_sigma[low] = np.nan, np.nan
@@ -235,6 +238,16 @@ def _starts(inits, p: int):
     return _stack(inits, p)
 
 
+def _problem_data(data, emp_depths, ds):
+    """The data and depths that the problems ``ds`` step on: ``data``
+    (D, n, p) and ``emp_depths`` (D, n) themselves, a stack of one that
+    every problem shares, when D = 1; otherwise a (len(ds), n, p) and a
+    (len(ds), n) copy holding each problem's dataset."""
+    if len(data) == 1:
+        return data, emp_depths
+    return data[ds], emp_depths[ds]
+
+
 @dataclass(frozen=True)
 class _Stack:
     """Reweighting problems on D datasets of n rows each, solved.
@@ -265,9 +278,9 @@ class _Stack:
         out = []
         for lo in range(0, len(idx), chunk):
             part = idx[lo:lo + chunk]
-            ds = self.ds[part]
+            x, d = _problem_data(self.data, self.emp_depths, self.ds[part])
             mu, sigma, chol = self.mu[part], self.sigma[part], self.chol[part]
-            tau, w = _residuals_weights(self.data[ds], mu, chol, self.emp_depths[ds], self.cfg)
+            tau, w = _residuals_weights(x, mu, chol, d, self.cfg)
             out += [
                 FitResult(
                     params=params,
@@ -288,7 +301,10 @@ def _solve(data, emp_depths, ds, starts, cfg: EstimatorConfig) -> _Stack:
 
     ``data`` (D, n, p) and ``emp_depths`` (D, n) hold the datasets,
     ``ds`` (S,) the dataset of each problem and ``starts`` its (mu,
-    sigma, chol) as ``_starts`` stacks them.  A problem leaves the
+    sigma, chol) as ``_starts`` stacks them.  When D = 1, every step
+    takes ``data`` and ``emp_depths`` as a stack of one that all
+    problems share; otherwise each problem gets its own copy of its
+    dataset (``_problem_data``).  A problem leaves the
     stack when it converges, a step fails (it keeps the parameters
     before that step) or it has taken ``cfg.max_iter`` steps.  The
     problems are solved in chunks of at most _ROWS data rows.
@@ -304,9 +320,8 @@ def _solve(data, emp_depths, ds, starts, cfg: EstimatorConfig) -> _Stack:
         for _ in range(cfg.max_iter):
             if not active.size:
                 break
-            step = irwls_step(
-                data[ds[active]], mu[active], chol[active], emp_depths[ds[active]], cfg
-            )
+            x, d = _problem_data(data, emp_depths, ds[active])
+            step = irwls_step(x, mu[active], chol[active], d, cfg)
             ok = np.ones(active.size, dtype=bool)
             for k, reason in step.failures.items():
                 messages[active[k]] = reason

@@ -216,7 +216,8 @@ class TestFitCommand:
         (["--init", "file", "--init-file", "EMPTY"],
          "--init file requires at least one parameter set"),
         (["--family", "smooth", "--a", "-1"], "--family smooth requires a >= 0"),
-    ], ids=["subsamples", "xi", "empty-init-file", "smooth-a"])
+        (["--directions", "0"], "--directions must be an integer >= 1, got 0"),
+    ], ids=["subsamples", "xi", "empty-init-file", "smooth-a", "directions"])
     def test_bad_flag_value_named(self, clean_csv, tmp_path, capsys, flags, message):
         empty = tmp_path / "empty.json"
         empty.write_text("[]")
@@ -336,7 +337,7 @@ class TestFitWeightFlags:
 
     @pytest.mark.parametrize("flags, message", [
         (["--family", "smooth", "--delta1", "3"], "do not apply to --family smooth"),
-        (["--a", "7"], "'a' does not apply to the piecewise family"),
+        (["--a", "7"], "--a does not apply to --family piecewise"),
     ])
     def test_inapplicable_flag_rejected(self, clean_csv, capsys, flags, message):
         assert main(["fit", "--input", clean_csv, *flags]) == 1
@@ -371,9 +372,14 @@ class TestDepthCommand:
         many = [float(l.split(",")[1]) for l in many_p.read_text().strip().split("\n")[1:]]
         assert all(f >= m for f, m in zip(few, many))
 
-    def test_directions_rejected_with_exact(self, clean_csv):
-        assert main(["depth", "--input", clean_csv, "--depth-method", "exact",
-                     "--directions", "10"]) == 1
+    @pytest.mark.parametrize("flags, message", [
+        (["--depth-method", "exact", "--directions", "10"],
+         "--directions applies only to auto and projection"),
+        (["--directions", "0"], "--directions must be an integer >= 1, got 0"),
+    ], ids=["with-exact", "zero"])
+    def test_bad_directions_named(self, clean_csv, capsys, flags, message):
+        assert main(["depth", "--input", clean_csv, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSimulateCommand:
@@ -538,7 +544,8 @@ class TestBreakdownCommand:
         ("--distance", "nan", "distance must be finite, got nan"),
         ("--distance", "-inf", "distance must be finite, got -inf"),
         ("--xi", "0", "--xi must be positive"),
-    ], ids=["m", "p", "distance", "distance-negative-inf", "xi"])
+        ("--a", "7", "--a does not apply to --family piecewise"),
+    ], ids=["m", "p", "distance", "distance-negative-inf", "xi", "a"])
     def test_bad_input_named(self, capsys, flag, value, message):
         args = {"--p": "2", "--n": "20", "--m": "2", "--distance": "1e3", flag: value}
         assert main(["breakdown", *(x for kv in args.items() for x in kv)]) == 1

@@ -306,6 +306,58 @@ class TestStackInvariance:
         assert checked == [25] * 8
         assert all(c.failures == 0 for c in report.cells)
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.sampled_from(["literal-1-over-n", "sum-of-weights"]),
+        st.sampled_from([WeightSpec.smooth_exp(0.05), WeightSpec.piecewise(2.0, 9.0, 0.0)]),
+        st.integers(0, 2**16),
+    )
+    def test_stack_of_one_equals_tiled_stack(self, p, S, scatter_norm, weights, seed):
+        # the data and depths shared as a stack of one step every problem
+        # as a copy per problem does, a failing one among them
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((12 + 3 * p, p))
+        cfg = EstimatorConfig(weights=weights, scatter_norm=scatter_norm)
+        d = empirical_depths_all(x, cfg.depth_method)
+        mu = 0.5 * rng.standard_normal((S, p))
+        far = rng.integers(S)
+        mu[far] = 1e3  # every weight 0: the effective sample size is too small
+        chol = np.linalg.cholesky([random_spd(rng, p) for _ in range(S)])
+        shared = estimator.irwls_step(x[None], mu, chol, d[None], cfg)
+        tiled = estimator.irwls_step(np.repeat(x[None], S, axis=0), mu, chol,
+                                     np.repeat(d[None], S, axis=0), cfg)
+        assert shared.failures[far].startswith("effective sample size")
+        assert shared.failures == tiled.failures
+        for a, b in zip(shared[:-1], tiled[:-1]):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_one_dataset_is_never_copied_per_problem(self, monkeypatch):
+        # fit and find_roots step their starts on the one dataset as a
+        # stack of one; a grid cell's stack holds a dataset per problem
+        calls, step = [], estimator.irwls_step
+
+        def record(x, mu, chol, emp_depths, cfg):
+            calls.append((x.shape[0], emp_depths.shape[0], mu.shape[0]))
+            return step(x, mu, chol, emp_depths, cfg)
+
+        monkeypatch.setattr(estimator, "irwls_step", record)
+        data = two_cluster_fixture()
+        cfg = EstimatorConfig()
+        find_roots(data, cfg, subsample_inits(data, 50, 1))
+        fit(data, cfg, GaussianParams.standard(2))
+        assert max(s for _, _, s in calls) == 50
+        assert {(xs, ds) for xs, ds, _ in calls} == {(1, 1)}
+        calls.clear()
+        run_grid(GridConfig(
+            dims=(2,), size_factors=(5,), epsilons=(0.2,), mu_cs=(5.0,),
+            sigma_cs=(1.0,), reps=3, seed=11, init=InitSpec("subsample", b=10, seed=2),
+        ))
+        assert calls[0] == (30, 30, 30)
+        assert all(xs == ds == s for xs, ds, s in calls)
+
 
 def random_spd(rng, p):
     a = rng.standard_normal((p, p))
