@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianParams, _as_matrix, _check_integer, _fields, _float_array, _record
-from .gaussian import mahalanobis_sq
+from .gaussian import GaussianParams, _as_matrix, _blocks, _check_integer, _fields, _float_array
+from .gaussian import _record, mahalanobis_sq
 
 __all__ = [
     "DepthMethod",
@@ -46,11 +46,7 @@ _TIE_RAD = 1e-9
 # 64-128 (16-128 at n = 650).  On n = 3200 points blocks of 8, 16 and 32
 # rank equally fast within timing noise and 4 is slower; 8 takes least
 # memory.
-# Query-to-point offsets swept at once, over the queries of as many
-# datasets as fit: a few thousand keep the sweep's arrays in cache, and
-# larger batches only add memory.
 _BLOCK_ENTRIES = 1 << 14
-_BATCH = 1 << 13
 
 # Data reaching _HUGE in magnitude are scaled by _SHRINK, exactly, so that
 # projections and 2-D offsets stay below DBL_MAX.
@@ -265,21 +261,21 @@ def _exact_counts_2d(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """``_exact_count_2d`` of the queries (D, q, 2) of each of D datasets
     (D, n, 2) within it: counts (D, q).
 
-    The queries of all datasets are swept together, _BATCH offsets at a
-    time, each query's row offset against its own dataset.  Coincident
-    offsets get angle +inf and sort last.  A stable argsort of [ends,
-    doubled angles] per row counts the angles below each arc end, ends
-    first as with ``side="left"``; rows whose maximal arc ends within
-    _TIE_RAD of its last counted offset are recounted with the tie rule.
+    The queries of all datasets are swept together, in blocks of at most
+    ``gaussian._ROWS`` offsets (``_blocks``), each query's row offset
+    against its own dataset.  Coincident offsets get angle +inf and sort
+    last.  A stable argsort of [ends, doubled angles] per row counts the
+    angles below each arc end, ends first as with ``side="left"``; rows
+    whose maximal arc ends within _TIE_RAD of its last counted offset are
+    recounted with the tie rule.
     A row's count does not depend on the rows swept beside it."""
     n = data.shape[1]
     flat = queries.reshape(-1, 2)
     owner = np.repeat(np.arange(data.shape[0]), queries.shape[1])
     idx = np.arange(n)
     counts = np.empty(flat.shape[0], dtype=np.int64)
-    step = max(1, _BATCH // n)
-    for s in range(0, flat.shape[0], step):
-        qs, ds = flat[s:s + step], owner[s:s + step]
+    for b in _blocks(flat.shape[0], n):
+        qs, ds = flat[b], owner[b]
         rows = np.arange(qs.shape[0])
         dx, dy = data[ds, :, 0] - qs[:, :1], data[ds, :, 1] - qs[:, 1:]
         coincident = (dx == 0.0) & (dy == 0.0)
@@ -296,9 +292,9 @@ def _exact_counts_2d(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
         last = i + top - 1  # the last counted offset, in the doubled angles
         last += (n - m) * (last >= m)  # ... and in merged[:, n:]
         gap = merged[rows, i] - np.where(m > 0, merged[rows, n + last], -np.inf)
-        counts[s:s + step] = n - top
+        counts[b] = n - top
         for r in np.flatnonzero(gap <= _TIE_RAD):
-            counts[s + r] = _exact_count_2d(data[ds[r]], qs[r])
+            counts[b.start + r] = _exact_count_2d(data[ds[r]], qs[r])
     return counts.reshape(queries.shape[:2])
 
 
@@ -478,11 +474,13 @@ def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
     sample points in the closed half-space {z : u.z >= u.q}; exact
     methods minimize over all directions, projection over the seeded
     sample of directions (hence an upper bound on the exact value).
-    Empty or non-finite data or query points raise ValueError.
+    ``queries`` is a (q, p) matrix; a vector is one query, or q queries
+    when p = 1.  Empty or non-finite data or query points, or queries of
+    another dimension, raise ValueError.
     """
     data = _as_matrix(data)
     n, p = data.shape
-    queries = _as_matrix(np.reshape(queries, (-1, 1)) if p == 1
+    queries = _as_matrix(np.reshape(queries, (-1, 1)) if p == 1 and np.ndim(queries) < 2
                          else np.atleast_2d(queries))
     if queries.shape[1] != p:
         raise ValueError("query dimension does not match data dimension")
@@ -491,10 +489,7 @@ def empirical_depths(queries, data, method: DepthMethod) -> np.ndarray:
 
 def empirical_depth(query, data, method: DepthMethod) -> float:
     """Empirical half-space depth of a single query point."""
-    depths = empirical_depths(np.reshape(query, (1, -1)), data, method)
-    if depths.size != 1:
-        raise ValueError("query dimension does not match data dimension")
-    return float(depths[0])
+    return float(empirical_depths(np.reshape(query, (1, -1)), data, method)[0])
 
 
 def empirical_depths_all(data, method: DepthMethod) -> np.ndarray:

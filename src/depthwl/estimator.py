@@ -24,11 +24,13 @@ One solver iterates every start at once, in the manner of FAST-MCD's
 C-steps over many subsamples: ``irwls_step`` updates a stack of
 problems (locations, Cholesky factors, the data and depths of each)
 in one pass, and problems leave the stack as they converge, fail or
-run out of iterations.  ``fit`` is a stack of one, ``find_roots`` a
-stack of its starts that share one copy of the data, and a simulation
-grid cell one stack over the
-starts of all its replications, whose roots then take their weights and
-residuals from one more stacked pass.  Each problem's arithmetic does not
+run out of iterations.  Each iteration steps the problems left in
+blocks of at most ``gaussian._ROWS`` data rows, so the solver's working
+arrays do not grow with the stack.  ``fit`` is a stack of one,
+``find_roots`` a stack of its starts that share one copy of the data,
+and a simulation grid cell one stack over the starts of all its
+replications, whose roots then take their weights and residuals from
+one more stacked pass.  Each problem's arithmetic does not
 depend on what else is in the stack, so a start gives the same result
 bit for bit however it is batched.
 """
@@ -43,8 +45,9 @@ import numpy as np
 from .depth import DepthMethod, _as_depths, _model_depth, empirical_depths_all
 # Not called here: perfbench's tracer patches model depth at this name.
 from .depth import population_depth_gaussian  # noqa: F401
-from .gaussian import GaussianParams, _as_matrix, _check_integer, _check_real, _cholesky
-from .gaussian import _fields, _record, _stack, _stacked_kl, _stacked_mahalanobis_sq, _unstack
+from .gaussian import GaussianParams, _as_matrix, _blocks, _check_integer, _check_real
+from .gaussian import _cholesky, _fields, _record, _stack, _stacked_kl, _unstack
+from .gaussian import _stacked_mahalanobis_sq
 from .gaussian import weighted_location_scatter
 # Not called here: perfbench's tracer patches the KL divergence at this name.
 from .gaussian import kl_gaussian  # noqa: F401
@@ -66,10 +69,6 @@ __all__ = [
 # convergence noise at tol = 1e-8.
 DEDUP_KL = 1e-3
 
-
-# A stack of problems holds at most this many data rows (problems x n),
-# which bounds the solver's working arrays as depth.py's _BATCH does.
-_ROWS = 1 << 16
 
 _MAX_ITER_MESSAGE = "maximum iterations reached without convergence"
 
@@ -271,13 +270,12 @@ class _Stack:
 
     def results(self, idx) -> list:
         """FitResults of the problems ``idx``: weights and residuals at
-        their parameters from stacked evaluations of at most _ROWS data
-        rows each."""
+        their parameters from one stacked evaluation per block of at most
+        _ROWS data rows, as ``_solve`` steps them."""
         idx = np.asarray(idx, dtype=np.intp)
-        chunk = max(1, _ROWS // self.data.shape[1])
         out = []
-        for lo in range(0, len(idx), chunk):
-            part = idx[lo:lo + chunk]
+        for b in _blocks(len(idx), self.data.shape[1]):
+            part = idx[b]
             x, d = _problem_data(self.data, self.emp_depths, self.ds[part])
             mu, sigma, chol = self.mu[part], self.sigma[part], self.chol[part]
             tau, w = _residuals_weights(x, mu, chol, d, self.cfg)
@@ -301,40 +299,44 @@ def _solve(data, emp_depths, ds, starts, cfg: EstimatorConfig) -> _Stack:
 
     ``data`` (D, n, p) and ``emp_depths`` (D, n) hold the datasets,
     ``ds`` (S,) the dataset of each problem and ``starts`` its (mu,
-    sigma, chol) as ``_starts`` stacks them.  When D = 1, every step
-    takes ``data`` and ``emp_depths`` as a stack of one that all
-    problems share; otherwise each problem gets its own copy of its
-    dataset (``_problem_data``).  A problem leaves the
+    sigma, chol) as ``_starts`` stacks them.  Each iteration steps every
+    problem left once, in consecutive blocks of at most _ROWS data rows
+    (problems x n), so a step's weights, residuals and scatter
+    temporaries take a block's memory whatever S is.  When D = 1,
+    every block takes ``data`` and ``emp_depths`` as a stack of one that
+    all its problems share; otherwise each problem of the block gets its
+    own copy of its dataset (``_problem_data``).  A problem leaves the
     stack when it converges, a step fails (it keeps the parameters
-    before that step) or it has taken ``cfg.max_iter`` steps.  The
-    problems are solved in chunks of at most _ROWS data rows.
+    before that step) or it has taken ``cfg.max_iter`` steps.
     """
     mu, sigma, chol = (a.copy() for a in starts)
     S = len(ds)
     iterations = np.zeros(S, dtype=np.int64)
     converged = np.zeros(S, dtype=bool)
     messages = [None] * S
-    chunk = max(1, _ROWS // data.shape[1])
-    for lo in range(0, S, chunk):
-        active = np.arange(lo, min(lo + chunk, S))
-        for _ in range(cfg.max_iter):
-            if not active.size:
-                break
-            x, d = _problem_data(data, emp_depths, ds[active])
-            step = irwls_step(x, mu[active], chol[active], d, cfg)
-            ok = np.ones(active.size, dtype=bool)
+    active = np.arange(S)
+    for _ in range(cfg.max_iter):
+        if not active.size:
+            break
+        left = []
+        for b in _blocks(active.size, data.shape[1]):
+            part = active[b]
+            x, d = _problem_data(data, emp_depths, ds[part])
+            step = irwls_step(x, mu[part], chol[part], d, cfg)
+            ok = np.ones(part.size, dtype=bool)
             for k, reason in step.failures.items():
-                messages[active[k]] = reason
+                messages[part[k]] = reason
                 ok[k] = False
-            idx = active[ok]
+            idx = part[ok]
             done = _converged(mu[idx], sigma[idx], step.mu[ok], step.sigma[ok], cfg.tol)
             iterations[idx] += 1
             mu[idx], sigma[idx], chol[idx] = step.mu[ok], step.sigma[ok], step.chol[ok]
-            del step  # its (S, n) weights and residuals would outlive the next step
+            del step  # its weights and residuals would outlive the next block's step
             converged[idx[done]] = True
-            active = idx[~done]
-        for i in active:
-            messages[i] = _MAX_ITER_MESSAGE
+            left.append(idx[~done])
+        active = np.concatenate(left)
+    for i in active:
+        messages[i] = _MAX_ITER_MESSAGE
     return _Stack(data, emp_depths, ds, cfg, mu, sigma, chol, iterations, converged,
                   messages)
 

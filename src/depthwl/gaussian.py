@@ -24,6 +24,18 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 
+# A stacked pass over S problems of n rows each (the solver's steps, the
+# roots' weights, a stack of MLEs, the exact 2-D sweep's queries against
+# n points) takes them in blocks of at most this many rows, S x n, and at
+# least one problem (``_blocks``).  A block's per-row arrays then take
+# 64 KB and its (rows, p) temporaries 64p KB whatever S is.  find_roots
+# at p = 10 (n = 650, 500 starts) and p = 20 (n = 2300, 60 starts) peaks
+# at about 41.4 MB in process in blocks of 8192 rows, 43.0 and 46.0 MB in
+# blocks of 16,384, and 53.3 and 61.3 MB in 65,536-row chunks, each
+# solved to convergence before the next: larger blocks add memory, and
+# they were no faster.
+_ROWS = 1 << 13
+
 
 class SingularCovarianceError(ValueError):
     """A sample covariance is finite but not positive definite."""
@@ -77,6 +89,13 @@ class GaussianParams:
         """N_p(0, I); the identity is its own Cholesky factor."""
         _check_integer("p", p, 1)
         return _unstack(np.zeros((1, p)), np.eye(p)[None], np.eye(p)[None])[0]
+
+
+def _blocks(count: int, n: int):
+    """Consecutive slices over ``count`` stacked problems of ``n`` rows
+    each, at most _ROWS rows and at least one problem a slice."""
+    step = max(1, _ROWS // n)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def _stack(params, p: int):
@@ -260,12 +279,16 @@ def _mle_fits(data: np.ndarray):
     """The moments of ``mle_fit`` for a stack of S finite samples (S, n, p)
     at once, each item bit for bit its own fit's: locations (S, p),
     scatters (S, p, p) and lower Cholesky factors (S, p, p), from one
-    ``weighted_location_scatter`` call and one batched Cholesky.  A
-    scatter that overflows or is singular gets a NaN factor;
-    ``_check_fit`` raises what ``mle_fit`` raises for it."""
-    S, n = data.shape[:2]
+    ``weighted_location_scatter`` call per block of at most _ROWS rows
+    and one batched Cholesky.  A scatter that overflows or is singular
+    gets a NaN factor; ``_check_fit`` raises what ``mle_fit`` raises for
+    it."""
+    S, n, p = data.shape
+    mu, sigma = np.empty((S, p)), np.empty((S, p, p))
     with np.errstate(over="ignore", invalid="ignore"):
-        mu, sigma = weighted_location_scatter(data, np.ones((S, n)), float(n))
+        for b in _blocks(S, n):
+            block = data[b]
+            mu[b], sigma[b] = weighted_location_scatter(block, np.ones(block.shape[:2]), float(n))
     return mu, sigma, _cholesky(sigma)
 
 

@@ -359,6 +359,15 @@ class TestDepthCommand:
         out = capsys.readouterr().out.strip().split("\n")
         assert out[1] == "0,0.0000"
 
+    def test_query_matrix_against_one_column_rejected(self, tmp_path, capsys):
+        # three columns against one-column data: one query of the wrong
+        # dimension, not three one-dimensional queries
+        path = write_csv(tmp_path / "u.csv", [[1.0], [2.0], [3.0]])
+        q = write_csv(tmp_path / "q.csv", [[1.0, 2.0, 3.0]])
+        assert main(["depth", "--input", path, "--query", q]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: query dimension does not match data dimension\n")
+
     def test_projection_direction_count_monotone(self, tmp_path):
         rng = np.random.default_rng(102)
         path = write_csv(tmp_path / "p5.csv", rng.standard_normal((40, 5)))

@@ -418,3 +418,14 @@ class TestValidation:
         # At p = 1 the entries would be read as two queries.
         with pytest.raises(ValueError, match="query dimension does not match"):
             empirical_depth([0.0, 0.0], np.zeros((3, 1)), DepthMethod.exact())
+
+    def test_query_matrix_against_one_column(self):
+        # A (q, k) matrix is q queries of k entries at p = 1 too, not q*k
+        # one-dimensional queries; a vector or one column is q queries.
+        data = np.array([[1.0], [2.0], [3.0]])
+        for queries in ([[1.0, 2.0, 3.0]], np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="query dimension does not match"):
+                empirical_depths(queries, data, DepthMethod.exact())
+        want = [1 / 3, 2 / 3, 0.0]
+        for queries in ([1.0, 2.0, 9.0], [[1.0], [2.0], [9.0]]):
+            assert empirical_depths(queries, data, DepthMethod.exact()).tolist() == want

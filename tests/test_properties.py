@@ -37,7 +37,7 @@ from depthwl import (
     resolve_depth_method,
     subsample_inits,
 )
-from depthwl import depth
+from depthwl import depth, gaussian
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -94,7 +94,7 @@ def test_batched_2d_sweep_matches_scalar_sweep(points):
 def test_batched_2d_sweep_chunks(monkeypatch, batch):
     # Continuous data, self-depth and separate queries, across query chunks
     # that start and end inside a dataset's queries and span several datasets.
-    monkeypatch.setattr(depth, "_BATCH", batch)
+    monkeypatch.setattr(gaussian, "_ROWS", batch)
     rng = np.random.default_rng(batch)
     data = rng.standard_normal((3, 40, 2))
     for queries in (data, rng.standard_normal((3, 25, 2))):

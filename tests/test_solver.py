@@ -9,6 +9,8 @@ stacked deduplication is checked against the per-pair ``kl_gaussian``
 loop it replaced.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from depthwl import (
     subsample_inits,
     weight,
 )
-from depthwl import estimator, simulation
+from depthwl import estimator, gaussian, simulation
 from depthwl.gaussian import _log_det, _stacked_kl, weighted_location_scatter
 
 
@@ -267,16 +269,58 @@ class TestStackInvariance:
 
     @pytest.mark.parametrize("rows", [1, 30, 100])
     def test_chunked_stack_equals_whole(self, monkeypatch, rows):
-        # rows < n puts one problem in each chunk
+        # rows < n puts one problem in each block
         data = two_cluster_fixture()
         inits = subsample_inits(data, 60, 4)
         whole = find_roots(data, EstimatorConfig(), inits)
-        monkeypatch.setattr(estimator, "_ROWS", rows)
+        monkeypatch.setattr(gaussian, "_ROWS", rows)
         chunked = find_roots(data, EstimatorConfig(), inits)
         assert chunked.diagnostics == whole.diagnostics
         assert len(chunked.roots) == len(whole.roots)
         for a, b in zip(chunked.roots, whole.roots):
             assert_results_equal(a, b)
+
+    @pytest.mark.parametrize("rows", [1, 40, 100])
+    @pytest.mark.parametrize("seeds", [(5,), (5, 6, 7)], ids=["shared", "grid-cell"])
+    def test_blocked_solve_equals_whole(self, monkeypatch, rows, seeds):
+        # one shared dataset, or one per problem with each block gathering
+        # its own copies; max_iter = 3 stops problems of every block mid-run,
+        # beside ones that converge or fail, so blocks regroup as they leave
+        data = np.array([tied_sample(s) for s in seeds])
+        cfg = EstimatorConfig(max_iter=3)
+        emp = empirical_depths_all(data, cfg.depth_method)
+        starts = [estimator._starts(tied_starts(x, s), 2) for x, s in zip(data, seeds)]
+        ds = np.repeat(np.arange(len(seeds)), [len(a[0]) for a in starts])
+        stacked = [np.concatenate(a) for a in zip(*starts)]
+
+        def solve():
+            stack = estimator._solve(data, emp, ds, stacked, cfg)
+            return stack, stack.results(np.arange(len(ds)))
+
+        whole, whole_results = solve()
+        monkeypatch.setattr(gaussian, "_ROWS", rows)
+        blocked, blocked_results = solve()
+        assert blocked.messages == whole.messages
+        reasons = {m.split(" ")[0] for m in whole.messages if m}
+        assert reasons == {"effective", "updated", "maximum"}
+        for name in ("mu", "sigma", "chol", "iterations", "converged"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+        for a, b in zip(blocked_results, whole_results):
+            assert_results_equal(a, b)
+
+    @pytest.mark.parametrize("rows", [1, 20, 100])
+    def test_blocked_mle_fits_equal_whole(self, monkeypatch, rows):
+        # the stacked MLEs, a singular sample among them
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 3))
+        x[:8] = x[0]
+        idx = np.array([rng.choice(40, 10, replace=False) for _ in range(30)])
+        idx[4] = np.arange(10)  # three distinct points in three dimensions
+        whole = gaussian._mle_fits(x[idx])
+        assert np.isnan(whole[2][4]).all()
+        monkeypatch.setattr(gaussian, "_ROWS", rows)
+        for a, b in zip(gaussian._mle_fits(x[idx]), whole):
+            assert a.tobytes() == b.tobytes()
 
     def test_grid_replication_equals_find_roots(self, monkeypatch):
         # every replication of a cell, solved in the cell's one stack,
@@ -357,6 +401,28 @@ class TestStackInvariance:
         ))
         assert calls[0] == (30, 30, 30)
         assert all(xs == ds == s for xs, ds, s in calls)
+
+
+class TestMemory:
+    def test_peak_memory_is_a_few_blocks(self):
+        # p = 10, n = 650, 100 subsample starts: a block holds 12 problems
+        # (7800 data rows), and its (rows, p) temporaries take about 0.6 MB
+        # each.  Traced peak 2.0 MB, the starts' stacked copies included;
+        # solving the whole stack as one 65,536-row chunk peaked at 12.1 MB.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((650, 10))
+        x[:130] += 6.0
+        cfg = EstimatorConfig()
+        emp = empirical_depths_all(x, cfg.depth_method)
+        inits = subsample_inits(x, 100, 3)
+        tracemalloc.start()
+        try:
+            roots = find_roots(x, cfg, inits, emp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert roots.diagnostics["n_converged"] == 100
+        assert peak < 4e6
 
 
 def random_spd(rng, p):
