@@ -190,9 +190,9 @@ def irwls_step(
     problems share, which spares a copy per problem.  Each problem's
     update is computed as in a stack of one, bit for bit.  An update
     fails when the surviving weight sums to less than p + 1 or the new
-    scatter is not finite and positive definite: ``failures`` maps the
-    problem's index to the reason and its rows of the new parameters
-    are meaningless.
+    scatter is not finite and positive definite (one that overflows
+    fails silently): ``failures`` maps the problem's index to the reason
+    and its rows of the new parameters are meaningless.
     """
     tau, w = _residuals_weights(x, mu, chol, emp_depths, cfg)
     n, p = x.shape[1:]
@@ -203,7 +203,9 @@ def irwls_step(
     # (no 0/0, no overflow) and is masked, so that it fails as a singular one does.
     w_fit = np.where(low[:, None], np.arange(n) == 0, w) if low.any() else w
     denom = float(n) if cfg.scatter_norm == "literal-1-over-n" else np.where(low, 1.0, sum_w)
-    new_mu, new_sigma = weighted_location_scatter(x, w_fit, denom)
+    # A far row that keeps a positive weight can overflow the scatter: a failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_mu, new_sigma = weighted_location_scatter(x, w_fit, denom)
     new_mu[low], new_sigma[low] = np.nan, np.nan
     new_chol = _cholesky(new_sigma)
     failures = {
@@ -308,8 +310,13 @@ def _solve(data, emp_depths, ds, starts, cfg: EstimatorConfig) -> _Stack:
     own copy of its dataset (``_problem_data``).  A problem leaves the
     stack when it converges, a step fails (it keeps the parameters
     before that step) or it has taken ``cfg.max_iter`` steps.
+
+    ``_solve`` takes ownership of the start arrays: it steps them in
+    place and the returned stack holds them as its final parameters, so
+    a caller passes arrays it has just made (``_starts`` copies the
+    caller's GaussianParams) and does not use them afterwards.
     """
-    mu, sigma, chol = (a.copy() for a in starts)
+    mu, sigma, chol = starts
     S = len(ds)
     iterations = np.zeros(S, dtype=np.int64)
     converged = np.zeros(S, dtype=bool)
@@ -391,6 +398,8 @@ def _root_sets(data, emp_depths, starts, cfg: EstimatorConfig) -> list:
 
     ``data`` is (D, n, p), ``emp_depths`` (D, n) and ``starts`` one
     ``_starts`` triple per dataset; returns one RootSet per dataset.
+    ``_solve`` steps the stacked starts in place: one dataset's triple
+    itself, several datasets' triples concatenated into one.
     The kept roots of every dataset get their weights and residuals from
     one ``_Stack.results`` call.
     """
@@ -398,7 +407,8 @@ def _root_sets(data, emp_depths, starts, cfg: EstimatorConfig) -> list:
         return []
     counts = [len(s[0]) for s in starts]
     ds = np.repeat(np.arange(len(counts)), counts)
-    stack = _solve(data, emp_depths, ds, [np.concatenate(a) for a in zip(*starts)], cfg)
+    stacked = starts[0] if len(starts) == 1 else [np.concatenate(a) for a in zip(*starts)]
+    stack = _solve(data, emp_depths, ds, stacked, cfg)
     bounds = np.cumsum([0] + counts).tolist()
     kept = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -445,9 +455,16 @@ def find_roots(
     collapse to the first representative.  ``emp_depths``, as in
     ``fit``, shares the depths a caller already computed (e.g. for a
     depth start).
+
+    The starts are stacked into one set of arrays, which the solver
+    then steps in place; the caller's ``inits`` are left unchanged.
+    ``find_roots`` drops its reference to ``inits`` once they are
+    stacked, so a list made only for this call (``find_roots(x, cfg,
+    subsample_inits(x, 500, 0))``) is freed before the solve starts.
     """
     data = _as_matrix(data)
     starts = _starts(list(inits), data.shape[1])
+    del inits
     emp_depths = (empirical_depths_all(data, cfg.depth_method) if emp_depths is None
                   else _as_depths("emp_depths", emp_depths, len(data)))
     return _root_sets(data[None], emp_depths[None], [starts], cfg)[0]

@@ -30,10 +30,10 @@ _SYM_TOL = 1e-12
 # least one problem (``_blocks``).  A block's per-row arrays then take
 # 64 KB and its (rows, p) temporaries 64p KB whatever S is.  find_roots
 # at p = 10 (n = 650, 500 starts) and p = 20 (n = 2300, 60 starts) peaks
-# at about 41.4 MB in process in blocks of 8192 rows, 43.0 and 46.0 MB in
-# blocks of 16,384, and 53.3 and 61.3 MB in 65,536-row chunks, each
-# solved to convergence before the next: larger blocks add memory, and
-# they were no faster.
+# at about 38.9 and 40.5 MB in process in blocks of 8192 rows, 40.6 and
+# 44.8 MB in blocks of 16,384, and 53.3 and 61.3 MB (with each start held
+# three times) in 65,536-row chunks, each solved to convergence before
+# the next: larger blocks add memory, and they were no faster.
 _ROWS = 1 << 13
 
 

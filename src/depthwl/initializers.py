@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth import DepthMethod, _as_depths, _rng, empirical_depths_all
-from .gaussian import GaussianParams, SingularCovarianceError, _as_matrix, _check_fit
-from .gaussian import _check_integer, _fields, _mle_fits, _unstack
+from .gaussian import GaussianParams, _as_matrix, _blocks, _check_fit, _check_integer
+from .gaussian import _fields, _mle_fits, _unstack
 # Not called here: perfbench's tracer patches the MLE at this name.
 from .gaussian import mle_fit  # noqa: F401
 
@@ -35,14 +35,18 @@ def elemental_subsample_size(p: int) -> int:
 def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
     """MLE fits of ``B`` random without-replacement elemental subsamples.
 
-    Draw b uses its own RNG stream keyed by (seed, b); a draw whose
-    covariance is singular is redrawn from the same stream, with a
-    global budget of 100*B attempts, spent in draw order, before giving
-    up.  Any other ``mle_fit`` error propagates.  ``seed`` may be an int
-    or a sequence of ints (callers embedding this in larger experiments
-    pass composite keys).  All first draws are fitted in one stacked
-    ``_mle_fits`` call, and only the singular ones are redrawn; the
-    result is bit for bit that of fitting the draws one by one.
+    Draw b uses its own RNG stream keyed by (seed, b).  A draw whose
+    covariance is singular or overflows float64 is redrawn from the same
+    stream, with a global budget of 100*B attempts, spent in draw order,
+    before giving up ("too many singular subsamples").  Only when every
+    first draw overflows is the overflow itself raised, as ``mle_fit``
+    raises it: the data then need rescaling, not more draws.  ``seed``
+    may be an int or a sequence of ints (callers embedding this in
+    larger experiments pass composite keys).  The first draws are
+    gathered and fitted one ``_blocks`` block at a time, with one
+    stacked ``_mle_fits`` call each, and only the failed ones are
+    redrawn; the result is bit for bit that of fitting the draws one by
+    one.
     """
     data = _as_matrix(data)
     n, p = data.shape
@@ -53,23 +57,24 @@ def subsample_inits(data, B: int, seed) -> list[GaussianParams]:
     def draw(rng):
         return rng.choice(n, size=size, replace=False)
 
-    mu, sigma, chol = _mle_fits(data[np.array([draw(_rng(seed, b)) for b in range(B)])])
+    mu, sigma, chol = np.empty((B, p)), np.empty((B, p, p)), np.empty((B, p, p))
+    for block in _blocks(B, size):
+        rows = data[np.array([draw(_rng(seed, b)) for b in range(B)[block]])]
+        mu[block], sigma[block], chol[block] = _mle_fits(rows)
+    if not np.isfinite(sigma).all(axis=(1, 2)).any():
+        _check_fit(sigma[0], chol[0])  # raises mle_fit's overflow error
     # Draw b's next attempt follows b first draws and every redraw so far.
     budget, redraws = 100 * B, 0
     exhausted = "too many singular subsamples; data may be degenerate"
     for b in np.flatnonzero(np.isnan(chol).any(axis=(1, 2))):
         rng = _rng(seed, b)
         draw(rng)  # the first draw, fitted above
-        while True:
+        while np.isnan(chol[b]).any():
             if b + redraws >= budget:
                 raise ValueError(exhausted)
-            try:
-                _check_fit(sigma[b], chol[b])
-                break
-            except SingularCovarianceError:
-                redraws += 1
-                fit = _mle_fits(data[draw(rng)][None])
-                mu[b], sigma[b], chol[b] = (a[0] for a in fit)
+            redraws += 1
+            fit = _mle_fits(data[draw(rng)][None])
+            mu[b], sigma[b], chol[b] = (a[0] for a in fit)
     if B + redraws > budget:
         raise ValueError(exhausted)
     return _unstack(mu, sigma, chol)

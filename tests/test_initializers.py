@@ -4,13 +4,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from depthwl import (
     DepthMethod,
+    EstimatorConfig,
     GaussianParams,
     InitSpec,
     depth_init,
     elemental_subsample_size,
+    find_roots,
     mle_fit,
     subsample_inits,
 )
@@ -19,11 +23,31 @@ from depthwl.depth import _rng
 from depthwl.gaussian import SingularCovarianceError
 
 
-def reference_subsample_inits(data, B, seed, streams=_rng):
+def overflows(sample):
+    """Whether ``mle_fit`` of ``sample`` raises its overflow error."""
+    try:
+        mle_fit(sample)
+    except SingularCovarianceError:
+        return False
+    except ValueError:
+        return True
+    return False
+
+
+def reference_subsample_inits(data, B, seed, streams=_rng, redraw_overflow=True):
     """Draw by draw through ``mle_fit``: each draw redrawn from its own
-    stream until nonsingular, every attempt spending the global budget."""
+    stream until it is neither singular nor overflowing, every attempt
+    spending the global budget; the overflow is raised only when every
+    draw's first attempt overflows.  ``redraw_overflow=False`` is the
+    earlier rule, under which the first overflowing attempt raises."""
     n, p = data.shape
     size = elemental_subsample_size(p)
+
+    def subsample(rng):
+        return data[rng.choice(n, size=size, replace=False)]
+
+    if redraw_overflow and all(overflows(subsample(streams(seed, b))) for b in range(B)):
+        mle_fit(subsample(streams(seed, 0)))  # raises the overflow
     budget = 100 * B
     inits = []
     for b in range(B):
@@ -33,9 +57,13 @@ def reference_subsample_inits(data, B, seed, streams=_rng):
                 raise ValueError("too many singular subsamples; data may be degenerate")
             budget -= 1
             try:
-                inits.append(mle_fit(data[rng.choice(n, size=size, replace=False)]))
+                inits.append(mle_fit(subsample(rng)))
             except SingularCovarianceError:
                 continue
+            except ValueError:
+                if redraw_overflow:
+                    continue
+                raise
             break
     return inits
 
@@ -128,17 +156,21 @@ class TestSubsampleInits:
 
     def test_equals_draw_by_draw_reference(self):
         # Continuous and tie-heavy samples, mostly duplicate rows (many
-        # redraws, sometimes past the budget) and a huge row (overflow,
-        # which may come before or after the budget runs out).
+        # redraws, sometimes past the budget), one huge row or every
+        # other row huge (overflowing draws, redrawn) and every row huge
+        # (every first draw overflows).
         rng = np.random.default_rng(6)
         outcomes = []
         for p in (1, 2, 3):
             dup = np.vstack([np.zeros((40, p)), rng.standard_normal((p + 2, p))])
             huge = dup.copy()
             huge[-1] = 1e200
+            half_huge = rng.standard_normal((2 * p + 4, p))
+            half_huge[::2] *= 1e160
             for data, B in [(rng.standard_normal((25, p)), 40),
                             (rng.integers(-1, 2, (20, p)).astype(float), 30),
-                            (dup, 3), (huge, 3), (np.ones((12, p)), 2)]:
+                            (dup, 3), (huge, 3), (np.ones((12, p)), 2),
+                            (half_huge, 3), (rng.standard_normal((25, p)) * 1e160, 3)]:
                 for seed in range(6):
                     want = outcome(lambda: reference_subsample_inits(data, B, [seed, 1]))
                     assert outcome(lambda: subsample_inits(data, B, [seed, 1])) == want
@@ -151,9 +183,14 @@ class TestSubsampleInits:
         (("s" * 199, ""), "too many singular"),  # the second draw's first is the 201st
         (("", "s" * 198), 2),
         (("", "s" * 199), "too many singular"),
-        (("", "s" * 198 + "o"), "overflows"),  # the 200th attempt
+        (("", "s" * 197 + "o"), 2),  # the 199th attempt overflows, the 200th is good
+        (("", "s" * 198 + "o"), "too many singular"),  # the 200th overflows, no 201st
         (("", "s" * 199 + "o"), "too many singular"),  # the 201st attempt
-        (("o", "s" * 500), "overflows"),
+        (("o", "s" * 500), "too many singular"),  # the first draw's overflow is redrawn
+        (("o" * 150, "s" * 48), 2),
+        (("o" * 150, "s" * 49), "too many singular"),
+        (("o", "o"), "overflows"),  # every first draw overflows
+        (("o", "s"), 2),
         (("s" * 300, "o"), "too many singular"),
     ])
     def test_budget_spent_in_draw_order(self, monkeypatch, scripts, want):
@@ -170,6 +207,42 @@ class TestSubsampleInits:
         data = np.random.default_rng(4).standard_normal((40, 3))
         for g in subsample_inits(data, 15, seed=11):
             assert isinstance(g, GaussianParams)
+
+
+class TestFarRows:
+    """A few rows far enough out that some subsamples overflow."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 3), st.sampled_from([1, 5]), st.integers(0, 300),
+           st.integers(0, 2**16))
+    @example(1, 1, 155, 293)  # a tight start keeps the far row: its step overflows
+    @example(3, 5, 300, 0)
+    def test_robust_root_found(self, p, m, k, seed):
+        rng = np.random.default_rng(seed)
+        data = np.vstack([rng.standard_normal((50, p)), np.full((m, p), 10.0 ** k)])
+        inits = subsample_inits(data, 100, seed)
+        got = outcome(lambda: inits)
+        assert got == outcome(lambda: reference_subsample_inits(data, 100, seed))
+        # Without an overflowing attempt, the starts are those of the rule
+        # that did not redraw overflows, bit for bit.
+        before = outcome(lambda: reference_subsample_inits(data, 100, seed,
+                                                           redraw_overflow=False))
+        if not isinstance(before, str):
+            assert got == before
+        roots = find_roots(data, EstimatorConfig(), inits)
+        assert roots.best is not None
+        assert np.linalg.norm(roots.best.params.mu) < 1.0
+
+    def test_one_far_row(self):
+        # 59 N(0, I2) rows and one at (1e160, 1e160): a subsample holding
+        # the far row overflows and is redrawn.
+        data = np.vstack([np.random.default_rng(0).standard_normal((59, 2)),
+                          [[1e160, 1e160]]])
+        assert isinstance(outcome(lambda: reference_subsample_inits(
+            data, 500, 0, redraw_overflow=False)), str)
+        roots = find_roots(data, EstimatorConfig(), subsample_inits(data, 500, 0))
+        assert np.linalg.norm(roots.best.params.mu) < 1.0
+        assert roots.best.weights[-1] == 0.0
 
 
 class TestDepthInit:

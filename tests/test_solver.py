@@ -10,6 +10,7 @@ loop it replaced.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -293,8 +294,8 @@ class TestStackInvariance:
         ds = np.repeat(np.arange(len(seeds)), [len(a[0]) for a in starts])
         stacked = [np.concatenate(a) for a in zip(*starts)]
 
-        def solve():
-            stack = estimator._solve(data, emp, ds, stacked, cfg)
+        def solve():  # _solve steps its starts in place: each call gets a copy
+            stack = estimator._solve(data, emp, ds, [a.copy() for a in stacked], cfg)
             return stack, stack.results(np.arange(len(ds)))
 
         whole, whole_results = solve()
@@ -407,7 +408,7 @@ class TestMemory:
     def test_peak_memory_is_a_few_blocks(self):
         # p = 10, n = 650, 100 subsample starts: a block holds 12 problems
         # (7800 data rows), and its (rows, p) temporaries take about 0.6 MB
-        # each.  Traced peak 2.0 MB, the starts' stacked copies included;
+        # each.  Traced peak 1.6 MB, the starts' stacked copy included;
         # solving the whole stack as one 65,536-row chunk peaked at 12.1 MB.
         rng = np.random.default_rng(5)
         x = rng.standard_normal((650, 10))
@@ -423,6 +424,64 @@ class TestMemory:
             tracemalloc.stop()
         assert roots.diagnostics["n_converged"] == 100
         assert peak < 4e6
+
+    def test_subsample_starts_gathered_per_block(self):
+        # p = 10, n = 650, 500 starts: a block gathers 124 subsamples of
+        # 66 rows (0.65 MB).  Traced peak 3.1 MB, the 0.84 MB of fitted
+        # starts included; gathering all 500 at once peaked at 4.6 MB.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((650, 10))
+        x[:130] += 6.0
+        tracemalloc.start()
+        try:
+            inits = subsample_inits(x, 500, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(inits) == 500
+        assert peak < 3.6e6
+
+
+class TestStartOwnership:
+    """The solver steps one stacked copy of the starts in place."""
+
+    def test_fresh_starts_freed_before_the_solve(self, monkeypatch):
+        data = two_cluster_fixture()
+        refs = []
+
+        def fresh_starts():
+            inits = subsample_inits(data, 20, 1)
+            refs.extend(weakref.ref(g) for g in inits)
+            return inits
+
+        alive = []
+        solve = estimator._solve
+
+        def counting_solve(*args):
+            alive.append(sum(r() is not None for r in refs))
+            return solve(*args)
+
+        monkeypatch.setattr(estimator, "_solve", counting_solve)
+        roots = find_roots(data, EstimatorConfig(), fresh_starts())
+        assert alive == [0]
+        assert roots.diagnostics["n_starts"] == 20
+
+    @pytest.mark.parametrize("count", [1, 2, 30])
+    def test_callers_starts_unchanged(self, count):
+        data = two_cluster_fixture()
+        inits = subsample_inits(data, count, 2)
+
+        def bits():
+            return [(g.mu.tobytes(), g.sigma.tobytes(), g.chol.tobytes()) for g in inits]
+
+        before = bits()
+        cfg = EstimatorConfig()
+        roots = find_roots(data, cfg, inits)
+        assert bits() == before
+        fits = [fit(data, cfg, g) for g in inits]
+        assert bits() == before
+        assert all(f.iterations > 0 for f in fits)
+        assert roots.diagnostics["n_converged"] == sum(f.converged for f in fits)
 
 
 def random_spd(rng, p):
