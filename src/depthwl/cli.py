@@ -39,12 +39,13 @@ def load_csv_dataset(path) -> np.ndarray:
 
     Comma separated, '.' decimal, no quoting of numeric fields.  An
     optional single header line is detected by its first line failing
-    to parse as numbers.  Errors name the offending line.
+    to parse as numbers.  A leading UTF-8 byte-order mark is dropped.
+    Errors name the offending line.
     """
     rows = []
     width = None
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CsvError(f"cannot read {path}: {exc}") from None
     with fh:

@@ -214,61 +214,31 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_count_2d(data: np.ndarray, query: np.ndarray) -> int:
+def _exact_counts_2d(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Number of points in the least-populated closed half-plane through
-    ``query``, via an angular sweep over the offsets data - query.
+    each of the queries (D, q, 2) of each of D datasets (D, n, 2), within
+    its own dataset: counts (D, q), via an angular sweep over the offsets
+    data - query.
 
     Points coincident with the query lie on every boundary line and are
-    counted in every half-plane.  A closed half-plane count equals
-    m minus the largest number of offsets inside an open half-circle of
+    counted in every half-plane.  A closed half-plane count equals n
+    minus the largest number of offsets inside an open half-circle of
     directions; the half-open arcs [theta_i, theta_i + pi) enumerate all
     maximal open half-circles.
 
-    Tie rule: an offset exactly opposite the arc start lies on the
-    boundary, outside the arc, but rounded angles can count it.  Rounding
-    only inflates counts, so while the maximal arc's last counted offset
-    is within _TIE_RAD of the end and exactly opposite the start (cross
-    product 0, dot product < 0), it is dropped and the maximum retaken.
-    """
-    offsets = data - query
-    nonzero = (offsets[:, 0] != 0.0) | (offsets[:, 1] != 0.0)
-    m = int(np.count_nonzero(nonzero))
-    n_coincident = data.shape[0] - m
-    if m == 0:
-        return data.shape[0]
-    offsets = offsets[nonzero]
-    ang = np.arctan2(offsets[:, 1], offsets[:, 0])
-    order = ang.argsort(kind="stable")
-    ang = ang[order]
-    doubled = np.concatenate([ang, ang + 2.0 * np.pi])
-    end = ang + np.pi
-    counts = np.searchsorted(doubled, end, side="left") - np.arange(m)
-    i = counts.argmax()
-    last = i + counts[i] - 1  # index into ``doubled`` of the last counted offset
-    while end[i] - doubled[last] <= _TIE_RAD:
-        # Scaled exactly to a largest entry in [0.5, 1): products free of the data scale.
-        a, b = (np.ldexp(v, -np.frexp(np.abs(v).max())[1])
-                for v in (offsets[order[i]], offsets[order[last % m]]))
-        if a[0] * b[1] != a[1] * b[0] or a @ b >= 0.0:
-            break
-        counts[i] -= 1
-        i = counts.argmax()
-        last = i + counts[i] - 1
-    return n_coincident + m - int(counts[i])
-
-
-def _exact_counts_2d(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """``_exact_count_2d`` of the queries (D, q, 2) of each of D datasets
-    (D, n, 2) within it: counts (D, q).
-
     The queries of all datasets are swept together, in blocks of at most
-    ``gaussian._ROWS`` offsets (``_blocks``), each query's row offset
+    ``gaussian._ROWS`` offsets (``_blocks``), each query's row of offsets
     against its own dataset.  Coincident offsets get angle +inf and sort
     last.  A stable argsort of [ends, doubled angles] per row counts the
-    angles below each arc end, ends first as with ``side="left"``; rows
-    whose maximal arc ends within _TIE_RAD of its last counted offset are
-    recounted with the tie rule.
-    A row's count does not depend on the rows swept beside it."""
+    angles below each arc end, ends first as with ``side="left"``.
+
+    Tie rule: an offset exactly opposite the arc start lies on the
+    boundary, outside the arc, but rounded angles can count it.  Rounding
+    only inflates counts, so while a row's maximal arc ends within
+    _TIE_RAD of its last counted offset and that offset is exactly
+    opposite the start (cross product 0, dot product < 0), it is dropped
+    and the maximum retaken.  A row's count does not depend on the rows
+    swept beside it."""
     n = data.shape[1]
     flat = queries.reshape(-1, 2)
     owner = np.repeat(np.arange(data.shape[0]), queries.shape[1])
@@ -294,7 +264,23 @@ def _exact_counts_2d(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
         gap = merged[rows, i] - np.where(m > 0, merged[rows, n + last], -np.inf)
         counts[b] = n - top
         for r in np.flatnonzero(gap <= _TIE_RAD):
-            counts[b.start + r] = _exact_count_2d(data[ds[r]], qs[r])
+            arc, k, j, mr = inside[r], i[r], last[r], m[r]
+            end, doubled = merged[r, :n], merged[r, n:]  # offset j % n at doubled[j]
+            order = np.argsort(np.where(coincident[r], np.inf, np.arctan2(dy[r], dx[r])),
+                               kind="stable")
+            offsets = np.stack([dx[r], dy[r]], axis=1)[order]
+            while end[k] - doubled[j] <= _TIE_RAD:
+                # Scaled exactly to a largest entry in [0.5, 1): products free of the data scale.
+                a, c = (np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+                        for v in (offsets[k], offsets[j % n]))
+                if a[0] * c[1] != a[1] * c[0] or a @ c >= 0.0:
+                    break
+                arc[k] -= 1
+                k = arc.argmax()
+                j = k + arc[k] - 1
+                if j >= mr:
+                    j += n - mr
+            counts[b.start + r] = n - arc[k]
     return counts.reshape(queries.shape[:2])
 
 

@@ -49,6 +49,18 @@ class TestCsvIngestion:
         path = write_csv(tmp_path / "b.csv", [[1.0, 2.0]], header="x,y")
         assert load_csv_dataset(path).shape == (1, 2)
 
+    # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark, which
+    # is not part of the first line: that line is data, or still a header.
+    def test_byte_order_mark_keeps_first_row(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,7\n")
+        assert np.array_equal(load_csv_dataset(str(p)), [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        p = tmp_path / "bom_header.csv"
+        p.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n3,4\n")
+        assert np.array_equal(load_csv_dataset(str(p)), [[1.0, 2.0], [3.0, 4.0]])
+
     def test_ragged_row_names_line(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("1,2\n3,4,5\n")

@@ -1,13 +1,13 @@
-"""Property-based invariants: exact 2-D depth against an integer brute
-force and the scalar sweep, stacked empirical depth against one call
-per sample, projection depth against the per-direction
-loop and against exact depth, the packed-key ranking against the tie
-rule, the residual lower bound, trimming and
-its median against ``np.median``, row-wise trimming against the 1-D
-call, the log-determinant from the factor, the
+"""Property-based invariants: exact 2-D depth against integer brute
+forces on small and on wide lattices, the 2-D sweep in blocks of any
+size, stacked empirical depth against one call per sample, projection
+depth against the per-direction loop and against exact depth, the
+packed-key ranking against the tie rule, the residual lower bound,
+trimming and its median against ``np.median``, row-wise trimming
+against the 1-D call, the log-determinant from the factor, the
 rejection of non-finite samples and of integers too large for a float
-at every entry point that takes a sample,
-and the JSON round trip of every config its constructor accepts."""
+at every entry point that takes a sample, and the JSON round trip of
+every config its constructor accepts."""
 
 import json
 import math
@@ -82,25 +82,82 @@ def test_exact_2d_matches_integer_brute_force(points):
 
 @PROPERTY
 @given(INT_POINTS)
-def test_batched_2d_sweep_matches_scalar_sweep(points):
+def test_batched_2d_sweep_matches_brute_force(points):
     points = points.astype(np.float64)
     got = depth._exact_counts_2d(points[None], GRID_QUERIES[None].astype(np.float64))[0]
-    want = [depth._exact_count_2d(points, q) for q in GRID_QUERIES]
-    assert np.array_equal(got, want)
     assert np.array_equal(got, brute_force_counts_2d(GRID_QUERIES, points))
+
+
+def brute_force_counts_wide(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Depth counts of integer queries among integer points by exact
+    int64 arithmetic, for coordinates up to about 1000 in magnitude.
+
+    A closed half-plane count can only fall when the direction leaves a
+    line perpendicular to an offset o, and two such lines through
+    distinct nonzero offsets (components at most 2M in magnitude, M the
+    largest coordinate) lie more than 1 / (8 M**2) rad apart.  So the
+    directions K perp(o) +- o and -K perp(o) +- o, with K = 8 (M + 1)**2 + 1,
+    fall in every open sector between those lines and attain the minimum.
+    A zero offset gives the zero direction, which counts every point.
+    """
+    offsets = points[None, :, :] - queries[:, None, :]
+    big = max(np.abs(points).max(), np.abs(queries).max())
+    k = 8 * (int(big) + 1) ** 2 + 1
+    perp = np.stack([-offsets[..., 1], offsets[..., 0]], axis=-1)
+    dirs = np.concatenate([s * k * perp + t * offsets for s in (1, -1) for t in (1, -1)], axis=1)
+    return (np.einsum("qnc,qdc->qnd", offsets, dirs) >= 0).sum(axis=1).min(axis=1)
+
+
+@st.composite
+def wide_lattice_samples(draw):
+    """Integer points with coordinates up to 1000 in magnitude, n <= 80,
+    half of them on 2-4 lattice lines (collinear and exactly opposite
+    offsets), and as queries the points themselves plus lattice points."""
+    n = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 4))
+        bases = draw(hnp.arrays(np.int64, (k, 2), elements=st.integers(-500, 500)))
+        steps = draw(hnp.arrays(np.int64, (k, 2), elements=st.integers(-20, 20)))
+        line = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        t = draw(hnp.arrays(np.int64, n, elements=st.integers(-25, 25)))
+        points = bases[line] + t[:, None] * steps[line]
+    else:
+        points = draw(hnp.arrays(np.int64, (n, 2), elements=st.integers(-1000, 1000)))
+    extra = draw(hnp.arrays(np.int64, st.tuples(st.integers(0, 10), st.just(2)),
+                            elements=st.integers(-1000, 1000)))
+    return points, np.concatenate([points, extra])
+
+
+@PROPERTY
+@given(wide_lattice_samples())
+# Collinear with each end doubled: at the middle point the tie rule drops
+# two offsets from one maximal arc, and then the next maximal arc, which
+# wraps past 2 pi, also ends exactly opposite its start.
+@example((np.array([[-3, 3], [0, 1], [3, -1], [3, -1], [-3, 3]]),) * 2)
+def test_exact_2d_matches_wide_integer_brute_force(sample):
+    points, queries = sample
+    got = empirical_depths(queries, points, DepthMethod.exact())
+    assert np.array_equal(got, brute_force_counts_wide(queries, points) / len(points))
 
 
 @pytest.mark.parametrize("batch", [1, 7, 1 << 16])
 def test_batched_2d_sweep_chunks(monkeypatch, batch):
-    # Continuous data, self-depth and separate queries, across query chunks
-    # that start and end inside a dataset's queries and span several datasets.
-    monkeypatch.setattr(gaussian, "_ROWS", batch)
+    # Self-depth and separate queries across query chunks that start and
+    # end inside a dataset's queries and span several datasets, against
+    # the same call in blocks of the default size.  The integer data lie on
+    # five lattice lines through the origin, so exactly opposite offsets
+    # abound: rows the tie rule applies to fall in each default block.
     rng = np.random.default_rng(batch)
     data = rng.standard_normal((3, 40, 2))
-    for queries in (data, rng.standard_normal((3, 25, 2))):
-        got = depth._exact_counts_2d(data, queries)
-        want = [[depth._exact_count_2d(x, q) for q in qs] for x, qs in zip(data, queries)]
-        assert np.array_equal(got, want)
+    steps = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [2, 1]])
+    ints = rng.integers(-3, 4, (12, 40, 1)) * steps[rng.integers(0, 5, (12, 40))]
+    ints = ints.astype(np.float64)
+    grid = np.tile(GRID_QUERIES, (12, 1, 1)).astype(np.float64)
+    cases = [(data, data), (data, rng.standard_normal((3, 25, 2))), (ints, ints), (ints, grid)]
+    want = [depth._exact_counts_2d(x, queries) for x, queries in cases]
+    monkeypatch.setattr(gaussian, "_ROWS", batch)
+    for (x, queries), counts in zip(cases, want):
+        assert np.array_equal(depth._exact_counts_2d(x, queries), counts)
 
 
 @pytest.mark.parametrize(
@@ -121,7 +178,6 @@ def test_batched_2d_sweep_ties(data, queries, counts):
     queries = data if queries is None else np.array(queries)
     got = depth._exact_counts_2d(data[None], queries[None])[0]
     assert np.array_equal(got, counts)
-    assert np.array_equal(got, [depth._exact_count_2d(data, q) for q in queries])
 
 
 @st.composite
